@@ -14,6 +14,7 @@ on small problems.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,14 +73,47 @@ def gradient(point: CpdPoint, tensor: DenseTensor) -> np.ndarray:
     return structure.join(grad_factors, grad_weights)
 
 
+@functools.cache
+def _mode_indices(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``others[i]``: the modes other than ``i``; ``rest[i, k]``: the modes
+    other than ``i`` and ``others[i, k]``; both in increasing order.  The
+    arrays are shared by every caller, so they are read-only."""
+    modes = range(n_modes)
+    others = [[j for j in modes if j != i] for i in modes]
+    rest = [[[m for m in modes if m not in (i, j)] for j in others[i]] for i in modes]
+    out = (np.array(others, dtype=np.intp).reshape(n_modes, n_modes - 1),
+           np.array(rest, dtype=np.intp).reshape(n_modes, n_modes - 1, n_modes - 2))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _hadamard(cross: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Products of ``cross[index[..., k]]`` over the last axis of ``index``,
+    multiplied in order; all ones for an empty product."""
+    if index.shape[-1] == 0:
+        return np.ones(index.shape[:-1] + cross.shape[1:])
+    out = cross[index[..., 0]]  # equals 1 * cross exactly
+    for k in range(1, index.shape[-1]):
+        out *= cross[index[..., k]]
+    return out
+
+
 class GramianOperator:
     """Matrix-free action of the residual-map Gramian at a point.
 
-    Caches the per-mode R-by-R factor cross products at construction; each
-    apply then costs O(N^2 R^2 + R sum(dims)) with no dependence on the
-    tensor size.  The operator is symmetric positive semidefinite with a
-    null space of dimension at least N*R at generic points, spanned by the
-    per-term rescaling directions (see :func:`kernel_basis`).
+    Construction caches the per-mode R-by-R factor cross products, their
+    Hadamard products over all modes but one or two, and those products
+    scaled by the weights (``λλᵀ∘W``), with the factors stacked per run of
+    equal-size modes.  The caches take about as long to build as the
+    per-apply products they replace, so an operator applied once (the
+    stepsize floor of every accepted step) is no slower for them.  An apply
+    then costs O(N^2 R^2 + R^2 sum(dims)), with no dependence on the tensor
+    size: three stacked R-by-R matrix products per run of equal-size modes
+    plus O(N) elementwise passes over R-by-R arrays.  The operator is
+    symmetric positive semidefinite with a null space of dimension at least
+    N*R at generic points, spanned by the per-term rescaling directions
+    (see :func:`kernel_basis`).
     """
 
     def __init__(self, point: CpdPoint, counters: EvalCounters | None = None):
@@ -88,33 +122,29 @@ class GramianOperator:
         self.applies = 0
         s = point.structure
         factors = point.factors
-        n = s.num_modes
-        cross = [a.T @ a for a in factors]
-        self._cross = cross
-        self._w_except = []
-        for i in range(n):
-            w = np.ones((s.rank, s.rank))
-            for m in range(n):
-                if m != i:
-                    w = w * cross[m]
-            self._w_except.append(w)
-        self._w_pair = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = np.ones((s.rank, s.rank))
-                for m in range(n):
-                    if m != i and m != j:
-                        w = w * cross[m]
-                self._w_pair[(i, j)] = w
-        self._w_all = self._w_except[0] * cross[0]
-        self._lam_outer = np.outer(point.weights, point.weights)
+        n, rank = s.num_modes, s.rank
+        # runs of equal-size modes, with their factors stacked
+        self._groups = [(sl, modes, dim, np.stack(factors[modes])) for sl, modes, dim in s.mode_groups]
+        cross = np.empty((n, rank, rank))
+        for _, modes, _, fac in self._groups:
+            np.matmul(fac.transpose(0, 2, 1), fac, out=cross[modes])
+        # Hadamard products of the cross products of all modes but i (resp.
+        # but i and j), multiplied in increasing mode order.
+        self._others, rest = _mode_indices(n)
+        w_except = _hadamard(cross, self._others)
+        self._w_except = w_except
+        self._w_all = w_except[0] * cross[0]
+        # The apply forms (λλᵀ∘W)∘D, which is λλᵀ∘W∘D evaluated left to
+        # right, so caching the first product changes no rounding.
+        lam = point.weights
+        lam_outer = np.outer(lam, lam)
+        self._lw_except = lam_outer * w_except
+        self._lw_pair = lam_outer * _hadamard(cross, rest)
+        self._lam_w_except = lam[:, None] * w_except
 
     @property
     def size(self) -> int:
         return self.point.structure.size
-
-    def _pair(self, i: int, j: int) -> np.ndarray:
-        return self._w_pair[(i, j)] if i < j else self._w_pair[(j, i)]
 
     def apply(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -124,26 +154,30 @@ class GramianOperator:
         if self.counters is not None:
             self.counters.gramian_applies += 1
         s = self.point.structure
-        factors = self.point.factors
-        lam = self.point.weights
-        vf, vw = s.split(v)
-        n_modes = s.num_modes
+        n_modes, rank = s.num_modes, s.rank
+        # per run, the (I_n, R) factor-shaped views of v's blocks, stacked
+        blocks = [v[sl].reshape(-1, rank, dim).transpose(0, 2, 1) for sl, _, dim, _ in self._groups]
+        vw = v[s.weight_slice]
         # D[m][r, s] = <a_r^(m), v_s^(m)>
-        dots = [factors[m].T @ vf[m] for m in range(n_modes)]
-        out_factors = []
-        for i in range(n_modes):
-            u = vf[i] @ (self._lam_outer * self._w_except[i])
-            mix = np.zeros((s.rank, s.rank))
-            for j in range(n_modes):
-                if j != i:
-                    mix += self._lam_outer * self._pair(i, j) * dots[j]
-            mix += (lam[:, None] * self._w_except[i]) * vw[None, :]
-            u = u + factors[i] @ mix.T
-            out_factors.append(u)
+        dots = np.empty((n_modes, rank, rank))
+        for vf, (_, modes, _, fac) in zip(blocks, self._groups):
+            np.matmul(fac.transpose(0, 2, 1), vf, out=dots[modes])
+        # mix[i] = 0 + sum_{j != i, increasing} (λλᵀ∘W_ij)∘D_j + (λ∘W_i)∘vw
+        terms = self._lw_pair * dots[self._others]
+        mix = np.zeros((n_modes, rank, rank))
+        for k in range(n_modes - 1):
+            mix += terms[:, k]
+        mix += self._lam_w_except * vw
+        mix_t = mix.transpose(0, 2, 1)
+        out = np.empty_like(v)
+        for vf, (sl, modes, dim, fac) in zip(blocks, self._groups):
+            u = vf @ self._lw_except[modes]
+            np.add(u, fac @ mix_t[modes], out=out[sl].reshape(-1, rank, dim).transpose(0, 2, 1))
         out_w = self._w_all @ vw
-        for j in range(n_modes):
-            out_w = out_w + (self._w_except[j] * dots[j]) @ lam
-        return s.join(out_factors, out_w)
+        for term in (self._w_except * dots) @ self.point.weights:
+            out_w += term
+        out[s.weight_slice] = out_w
+        return out
 
 
 def explicit_jacobian(point: CpdPoint, max_entries: int = 100_000) -> np.ndarray:

@@ -56,13 +56,6 @@ class FeasibleSet:
             raise ValueError(f"tolerance must be nonnegative, got {self.tol}")
 
 
-def _split_like(fset: FeasibleSet, w) -> tuple[list[np.ndarray], np.ndarray]:
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (fset.structure.size,):
-        raise ValueError(f"expected flat length {fset.structure.size}, got {w.shape}")
-    return fset.structure.split(w)
-
-
 def project(fset: FeasibleSet, w) -> CpdPoint:
     """Euclidean projection onto the feasible set.
 
@@ -73,19 +66,17 @@ def project(fset: FeasibleSet, w) -> CpdPoint:
     """
     if isinstance(w, CpdPoint):
         w = w.flat
-    factors_in, weights_in = _split_like(fset, w)
+    factors_in, weights_in = fset.structure.split(w)
     degenerate = False
     factors = []
     for block in factors_in:
         pos = np.maximum(block, 0.0)
         norms = np.linalg.norm(pos, axis=0)
-        out = np.empty_like(pos)
-        for r in range(pos.shape[1]):
-            if norms[r] == 0.0:
-                degenerate = True
-                out[:, r] = 1.0 / np.sqrt(pos.shape[0])
-            else:
-                out[:, r] = pos[:, r] / norms[r]
+        empty = norms == 0.0
+        out = np.divide(pos, norms, out=np.empty_like(pos), where=~empty)
+        if empty.any():
+            degenerate = True
+            out[:, empty] = 1.0 / np.sqrt(pos.shape[0])
         factors.append(out)
     weights = np.maximum(weights_in, 0.0)
     if fset.box_bound is not None:
@@ -100,13 +91,18 @@ class ProjJacobianElement:
     clipped block chained with the orthant clamp pattern, and per weight a
     clamp derivative in ``[0, 1]``.  Symmetric, with operator norm at most
     ``max(1, 1/min_block ||clipped block||)``.
+
+    The blocks are stored stacked, one row per factor column, per run of
+    equal-size modes (:attr:`CpdStructure.mode_groups`), so an apply costs
+    O(R sum(dims)) in one vectorized pass per run: a single pass when all
+    modes have the same size.
     """
 
-    def __init__(self, structure: CpdStructure, directions, inv_norms, clamps, weight_diag):
+    def __init__(self, structure: CpdStructure, groups, weight_diag):
         self.structure = structure
-        self._directions = directions  # unit vector per factor column
-        self._inv_norms = inv_norms  # 1 / ||positive part|| per factor column
-        self._clamps = clamps  # orthant clamp diagonal per factor column
+        # per mode run: flat slice, unit directions and orthant clamp
+        # pattern (one row per factor column), 1 / ||positive part|| (a column)
+        self._groups = groups
         self.weight_diag = np.asarray(weight_diag, dtype=np.float64)
 
     @property
@@ -118,16 +114,13 @@ class ProjJacobianElement:
         if v.shape != (self.size,):
             raise ValueError(f"expected flat length {self.size}, got {v.shape}")
         out = np.empty_like(v)
-        s = self.structure
-        idx = 0
-        for n in range(s.num_modes):
-            for r in range(s.rank):
-                sl = s.block_slice(n, r)
-                u = self._clamps[idx] * v[sl]
-                z = self._directions[idx]
-                out[sl] = (u - z * (z @ u)) * self._inv_norms[idx]
-                idx += 1
-        out[s.weight_slice] = self.weight_diag * v[s.weight_slice]
+        for sl, z, clamp, inv_norms in self._groups:
+            u = clamp * v[sl].reshape(clamp.shape)
+            # z @ u per row, stacked; rounds exactly as the 1-D dot does
+            zu = np.matmul(z[:, None, :], u[:, :, None])[:, :, 0]
+            np.multiply(u - z * zu, inv_norms, out=out[sl].reshape(clamp.shape))
+        ws = self.structure.weight_slice
+        np.multiply(self.weight_diag, v[ws], out=out[ws])
         return out
 
 
@@ -141,25 +134,29 @@ def proj_jacobian(fset: FeasibleSet, w, convention: int = 0) -> ProjJacobianElem
     if convention not in (0, 1):
         raise ValueError(f"convention must be 0 or 1, got {convention}")
     conv = float(convention)
-    factors_in, weights_in = _split_like(fset, w)
-    directions, inv_norms, clamps = [], [], []
-    for n, block in enumerate(factors_in):
+    s = fset.structure
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (s.size,):
+        raise ValueError(f"expected flat length {s.size}, got {w.shape}")
+    groups = []
+    for sl, modes, dim in s.mode_groups:
+        block = w[sl].reshape(-1, dim)  # one row per factor column
         pos = np.maximum(block, 0.0)
-        norms = np.linalg.norm(pos, axis=0)
-        for r in range(block.shape[1]):
-            if norms[r] == 0.0:
-                raise DegenerateBlockError(
-                    f"factor block (mode {n}, column {r}) has no positive part"
-                )
-            clamp = np.where(block[:, r] > 0.0, 1.0, np.where(block[:, r] < 0.0, 0.0, conv))
-            directions.append(pos[:, r] / norms[r])
-            inv_norms.append(1.0 / norms[r])
-            clamps.append(clamp)
+        norms = np.linalg.norm(pos, axis=1)
+        empty = np.flatnonzero(norms == 0.0)
+        if empty.size:
+            mode, column = divmod(int(empty[0]), s.rank)
+            raise DegenerateBlockError(
+                f"factor block (mode {modes.start + mode}, column {column}) has no positive part"
+            )
+        clamp = np.where(block > 0.0, 1.0, np.where(block < 0.0, 0.0, conv))
+        groups.append((sl, pos / norms[:, None], clamp, (1.0 / norms)[:, None]))
+    weights_in = w[s.weight_slice]
     wd = np.where(weights_in > 0.0, 1.0, np.where(weights_in < 0.0, 0.0, conv))
     if fset.box_bound is not None:
         m = fset.box_bound
         wd = np.where(weights_in > m, 0.0, np.where(weights_in < m, wd, conv))
-    return ProjJacobianElement(fset.structure, directions, inv_norms, clamps, wd)
+    return ProjJacobianElement(s, groups, wd)
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,10 @@ class JhatOperator:
 
     apply:            v -> v - P (v - gamma G v)
     apply_transpose:  v -> v - (v - gamma G (P v))   [P, G symmetric]
+
+    ``v`` must be a float64 vector of length ``size``.  The Gramian and
+    projection-Jacobian applies check it; this operator adds no conversion
+    or check of its own, since it runs twice per CG iteration.
     """
 
     def __init__(self, proj_el: ProjJacobianElement, gram: GramianOperator, gamma: float):
@@ -170,13 +174,11 @@ class JhatOperator:
     def size(self) -> int:
         return self.gram.size
 
-    def apply(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
+    def apply(self, v: np.ndarray) -> np.ndarray:
         inner = v - self.gamma * self.gram.apply(v)
         return v - self.proj_el.apply(inner)
 
-    def apply_transpose(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
+    def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         pv = self.proj_el.apply(v)
         return v - pv + self.gamma * self.gram.apply(pv)
 

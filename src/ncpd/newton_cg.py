@@ -15,13 +15,14 @@ iteration then stalls at a plateau well above machine precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .forward_backward import StepState, jhat_operator
 
-__all__ = ["CgReport", "cg_normal", "solve_direction", "cg_forcing_tol"]
+__all__ = ["CgReport", "cg_normal", "solve_direction"]
 
 
 @dataclass(frozen=True)
@@ -55,38 +56,27 @@ def cg_normal(apply_fn, rhs, tol: float, maxit: int) -> tuple[np.ndarray, CgRepo
     while iterations < maxit:
         ap = apply_fn(p)
         pap = float(p @ ap)
-        if not np.isfinite(pap) or pap <= 0.0:
+        if not math.isfinite(pap) or pap <= 0.0:
             breakdown = True
             break
         alpha = rs / pap
-        x = x + alpha * p
-        res = res - alpha * ap
+        x += alpha * p
+        res -= alpha * ap
         iterations += 1
         rs_new = float(res @ res)
-        if not np.isfinite(rs_new):
+        if not math.isfinite(rs_new):
             breakdown = True
             break
-        if np.sqrt(rs_new) <= tol * rhs_norm:
+        if math.sqrt(rs_new) <= tol * rhs_norm:
             converged = True
             break
-        p = res + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += res
         rs = rs_new
     true_res = float(np.linalg.norm(apply_fn(x) - rhs)) / rhs_norm
     if not np.isfinite(true_res) or not np.all(np.isfinite(x)):
         breakdown = True
     return x, CgReport(iterations, true_res, converged, breakdown)
-
-
-def cg_forcing_tol(cfg, rnorm: float) -> float:
-    """Relative tolerance for the direction solve at residual norm ``rnorm``.
-
-    Always ``cfg.cg_tol``.  Residual-proportional rules (``min(0.1, rnorm)``
-    or its square root) were measured to break the quadratic tail: the
-    leftover CG residual, divided by the squared small singular values of
-    the surrogate, dominates the step error long before the termination
-    threshold is reached.
-    """
-    return cfg.cg_tol
 
 
 def solve_direction(state: StepState, cfg) -> tuple[np.ndarray, CgReport]:
@@ -101,7 +91,6 @@ def solve_direction(state: StepState, cfg) -> tuple[np.ndarray, CgReport]:
     op = jhat_operator(state, cfg.jacobian_convention)
     rhs = -op.apply_transpose(state.r)
     maxit = cfg.cg_maxit if cfg.cg_maxit is not None else 3 * op.size
-    tol = cg_forcing_tol(cfg, state.rnorm)
     damping = cfg.damping
 
     if damping > 0.0:
@@ -111,4 +100,4 @@ def solve_direction(state: StepState, cfg) -> tuple[np.ndarray, CgReport]:
         def normal(v):
             return op.apply_transpose(op.apply(v))
 
-    return cg_normal(normal, rhs, tol, maxit)
+    return cg_normal(normal, rhs, cfg.cg_tol, maxit)

@@ -45,7 +45,6 @@ __all__ = [
     "NonFiniteError",
     "estimate_lipschitz",
     "gamma_condition",
-    "pgd_step_fallback",
     "panoc_solve",
     "pgd_solve",
     "greedy_term_match",
@@ -236,11 +235,6 @@ def gamma_condition(state: StepState, alpha: float) -> bool:
     the envelope by ``(1 - alpha)/(2 gamma) ||r||^2``."""
     margin = (1.0 - alpha) / (2.0 * state.gamma) * state.rnorm**2
     return state.fz <= state.fbe - margin
-
-
-def pgd_step_fallback(state: StepState) -> np.ndarray:
-    """The plain projected-gradient target of a validated state."""
-    return state.z.flat
 
 
 # --- reference-error tracking -------------------------------------------------

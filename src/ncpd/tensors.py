@@ -124,11 +124,11 @@ class CpdStructure:
     def num_modes(self) -> int:
         return len(self.dims)
 
-    @property
+    @cached_property
     def factor_dim(self) -> int:
         return self.rank * sum(self.dims)
 
-    @property
+    @cached_property
     def size(self) -> int:
         return self.factor_dim + self.rank
 
@@ -144,9 +144,25 @@ class CpdStructure:
         start = self.mode_offset(mode) + column * self.dims[mode]
         return slice(start, start + self.dims[mode])
 
-    @property
+    @cached_property
     def weight_slice(self) -> slice:
         return slice(self.factor_dim, self.size)
+
+    @cached_property
+    def mode_groups(self) -> tuple[tuple[slice, slice, int], ...]:
+        """Runs of consecutive modes of equal size, as ``(flat slice, mode
+        slice, mode size)``.  The factor blocks of a run of ``k`` modes are
+        contiguous and reshape to one ``(k, R, size)`` array, one row per
+        factor column, so per-mode work can be done once per run."""
+        groups = []
+        first = 0
+        for n in range(1, self.num_modes + 1):
+            if n == self.num_modes or self.dims[n] != self.dims[first]:
+                start = self.mode_offset(first)
+                stop = start + (n - first) * self.rank * self.dims[first]
+                groups.append((slice(start, stop), slice(first, n), self.dims[first]))
+                first = n
+        return tuple(groups)
 
     def split(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """Split a flat vector into per-mode factor matrices and weights.

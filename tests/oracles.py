@@ -151,3 +151,147 @@ def project_flat(w, dims, rank, box=None):
         tail = np.minimum(tail, box)
     out[pos:] = tail
     return out
+
+
+# --- per-block operator loops, kept as bit-for-bit references ---------------
+#
+# These are the straightforward per-(mode, column) loops the package's
+# vectorized operators replaced.  They use the same numpy calls on operands
+# of the same memory layout, so the fast paths must reproduce them to the
+# last bit, not merely to a tolerance.
+
+
+def mode_views(x, dims, rank):
+    """Per-mode ``(I_n, R)`` column-major views of a flat vector, and its
+    weight tail."""
+    views = []
+    pos = 0
+    for d in dims:
+        views.append(x[pos : pos + rank * d].reshape((d, rank), order="F"))
+        pos += rank * d
+    return views, x[pos:]
+
+
+def project_loop(w, dims, rank, box=None):
+    """Projection one factor column at a time; returns ``(flat, degenerate)``."""
+    w = np.asarray(w, dtype=np.float64)
+    blocks, weights_in = mode_views(w, dims, rank)
+    degenerate = False
+    parts = []
+    for block in blocks:
+        pos = np.maximum(block, 0.0)
+        norms = np.linalg.norm(pos, axis=0)
+        out = np.empty_like(pos)
+        for r in range(pos.shape[1]):
+            if norms[r] == 0.0:
+                degenerate = True
+                out[:, r] = 1.0 / np.sqrt(pos.shape[0])
+            else:
+                out[:, r] = pos[:, r] / norms[r]
+        parts.append(out.flatten(order="F"))
+    weights = np.maximum(weights_in, 0.0)
+    if box is not None:
+        weights = np.minimum(weights, box)
+    parts.append(weights)
+    return np.concatenate(parts), degenerate
+
+
+def proj_jacobian_blocks(w, dims, rank, box=None, convention=0):
+    """Per factor column: unit direction, inverse norm and clamp pattern, in
+    flat block order; plus the weight clamp diagonal.  Raises ``ValueError``
+    naming the first factor column with no positive part."""
+    conv = float(convention)
+    w = np.asarray(w, dtype=np.float64)
+    blocks, weights_in = mode_views(w, dims, rank)
+    directions, inv_norms, clamps = [], [], []
+    for n, block in enumerate(blocks):
+        pos = np.maximum(block, 0.0)
+        norms = np.linalg.norm(pos, axis=0)
+        for r in range(block.shape[1]):
+            if norms[r] == 0.0:
+                raise ValueError(f"factor block (mode {n}, column {r}) has no positive part")
+            clamp = np.where(block[:, r] > 0.0, 1.0, np.where(block[:, r] < 0.0, 0.0, conv))
+            directions.append(pos[:, r] / norms[r])
+            inv_norms.append(1.0 / norms[r])
+            clamps.append(clamp)
+    wd = np.where(weights_in > 0.0, 1.0, np.where(weights_in < 0.0, 0.0, conv))
+    if box is not None:
+        wd = np.where(weights_in > box, 0.0, np.where(weights_in < box, wd, conv))
+    return directions, inv_norms, clamps, wd
+
+
+def proj_jacobian_apply_loop(blocks, dims, rank, v):
+    """Apply the block-diagonal projection Jacobian one column at a time;
+    ``blocks`` is the output of :func:`proj_jacobian_blocks`."""
+    directions, inv_norms, clamps, wd = blocks
+    v = np.asarray(v, dtype=np.float64)
+    out = np.empty_like(v)
+    idx = 0
+    pos = 0
+    for d in dims:
+        for _ in range(rank):
+            sl = slice(pos, pos + d)
+            u = clamps[idx] * v[sl]
+            z = directions[idx]
+            out[sl] = (u - z * (z @ u)) * inv_norms[idx]
+            idx += 1
+            pos += d
+    out[pos:] = wd * v[pos:]
+    return out
+
+
+def gramian_apply_loop(factors, weights, v):
+    """Gramian apply with the per-mode cross-product weights rebuilt and the
+    mix terms summed one (mode, mode) pair at a time."""
+    dims = tuple(a.shape[0] for a in factors)
+    rank = len(weights)
+    n = len(factors)
+    cross = [a.T @ a for a in factors]
+    w_except = []
+    for i in range(n):
+        w = np.ones((rank, rank))
+        for m in range(n):
+            if m != i:
+                w = w * cross[m]
+        w_except.append(w)
+    w_pair = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = np.ones((rank, rank))
+            for m in range(n):
+                if m != i and m != j:
+                    w = w * cross[m]
+            w_pair[(i, j)] = w
+    w_all = w_except[0] * cross[0]
+    lam_outer = np.outer(weights, weights)
+
+    v = np.asarray(v, dtype=np.float64)
+    vf, vw = mode_views(v, dims, rank)
+    dots = [factors[m].T @ vf[m] for m in range(n)]
+    parts = []
+    for i in range(n):
+        u = vf[i] @ (lam_outer * w_except[i])
+        mix = np.zeros((rank, rank))
+        for j in range(n):
+            if j != i:
+                mix += lam_outer * w_pair[(min(i, j), max(i, j))] * dots[j]
+        mix += (weights[:, None] * w_except[i]) * vw[None, :]
+        u = u + factors[i] @ mix.T
+        parts.append(u.flatten(order="F"))
+    out_w = w_all @ vw
+    for j in range(n):
+        out_w = out_w + (w_except[j] * dots[j]) @ weights
+    parts.append(out_w)
+    return np.concatenate(parts)
+
+
+def jhat_apply_loop(pj_apply, gram_apply, gamma, v):
+    """``v - P (v - gamma G v)`` from the two loop references."""
+    inner = v - gamma * gram_apply(v)
+    return v - pj_apply(inner)
+
+
+def jhat_apply_transpose_loop(pj_apply, gram_apply, gamma, v):
+    """``v - P v + gamma G (P v)`` from the two loop references."""
+    pv = pj_apply(v)
+    return v - pv + gamma * gram_apply(pv)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_feasible
+from helpers import random_feasible
 from oracles import fd_gradient
 from ncpd.calculus import explicit_jacobian, kernel_basis
 from ncpd.cli import main

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_feasible, strictly_positive_point, tiny_structure
+from helpers import random_feasible, strictly_positive_point, tiny_structure
 from ncpd.calculus import (
     EvalCounters,
     GramianOperator,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_feasible, strictly_positive_point, tiny_structure
+from helpers import random_feasible, strictly_positive_point, tiny_structure
 from ncpd.calculus import EvalCounters, explicit_jacobian
 from ncpd.constraints import FeasibleSet, proj_jacobian, project
 from ncpd.forward_backward import CpdProblem, fb_step, fbe, jhat_operator, residual_map

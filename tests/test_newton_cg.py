@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import strictly_positive_point
+from helpers import strictly_positive_point
 from ncpd.constraints import FeasibleSet
 from ncpd.calculus import EvalCounters
 from ncpd.forward_backward import CpdProblem, fb_step, jhat_operator
-from ncpd.newton_cg import cg_forcing_tol, cg_normal, solve_direction
+from ncpd.newton_cg import cg_normal, solve_direction
 from ncpd.solver import SolverConfig
 from ncpd.tensors import CpdStructure, tensor_from_cpd
 
@@ -116,9 +116,17 @@ def make_state(seed=0, gamma=1e-2, perturb=0.3):
 
 
 def test_forcing_tolerance_is_fixed():
-    cfg = SolverConfig(cg_tol=1e-9)
-    assert cg_forcing_tol(cfg, 10.0) == 1e-9
-    assert cg_forcing_tol(cfg, 1e-14) == 1e-9
+    # the reported relative residual meets cg_tol itself, far from the
+    # solution and three orders of magnitude closer alike
+    for perturb in (0.3, 1e-4):
+        _, state, _ = make_state(seed=0, perturb=perturb)
+        iterations = []
+        for cg_tol in (1e-3, 1e-9):
+            _, report = solve_direction(state, SolverConfig(cg_tol=cg_tol))
+            assert report.converged and not report.breakdown
+            assert report.rel_residual <= cg_tol
+            iterations.append(report.iterations)
+        assert iterations[0] < iterations[1]
 
 
 def test_direction_zero_residual():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_feasible, strictly_positive_point
+from helpers import random_feasible, strictly_positive_point
 from ncpd.constraints import FeasibleSet, project
 from ncpd.calculus import EvalCounters, explicit_jacobian
 from ncpd.forward_backward import CpdProblem, fb_step
@@ -15,7 +15,6 @@ from ncpd.solver import (
     matched_relative_error,
     panoc_solve,
     pgd_solve,
-    pgd_step_fallback,
 )
 from ncpd.tensors import CpdPoint, CpdStructure, DenseTensor, tensor_from_cpd
 
@@ -116,10 +115,19 @@ def test_gamma_condition_fails_for_huge_stepsize():
 
 
 def test_pgd_fallback_is_projected_point():
+    # a plain projected-gradient step moves the iterate to the projected
+    # point of the validated state: the distance to it on the next row is 0
     structure, tensor, planted = small_exact(5)
+    start = perturbed(planted, 2)
+    cfg = SolverConfig(max_iters=1)
+    first = pgd_solve(tensor, start, cfg).trace[0]
+    assert first.kind == "pgd"
     problem = CpdProblem(tensor, FeasibleSet(structure), EvalCounters())
-    state = fb_step(problem, perturbed(planted, 2).flat, 1e-2)
-    assert np.array_equal(pgd_step_fallback(state), state.z.flat)
+    x0 = project(problem.fset, start.flat).flat
+    target = fb_step(problem, x0, first.gamma).z
+    rows = pgd_solve(tensor, start, cfg, reference=target).trace
+    assert rows[0].err > 0.0
+    assert rows[1].err == 0.0
 
 
 # --- term matching ------------------------------------------------------------
