@@ -35,7 +35,7 @@ from .experiments import (
     run_experiment_compare,
     run_experiment_quadratic,
 )
-from .forward_backward import CpdProblem, StepState, fb_step, fbe, jhat_operator, residual_map
+from .forward_backward import CpdProblem, StepState, fb_step, jhat_operator
 from .newton_cg import CgReport, cg_normal, solve_direction
 from .rng import substream
 from .solver import (
@@ -94,7 +94,6 @@ __all__ = [
     "estimate_lipschitz",
     "explicit_jacobian",
     "fb_step",
-    "fbe",
     "gamma_condition",
     "gen_exact_instance",
     "gen_inexact_instance",
@@ -116,7 +115,6 @@ __all__ = [
     "project",
     "random_feasible_point",
     "refold",
-    "residual_map",
     "residual_values",
     "run_checks",
     "run_experiment_compare",

@@ -20,17 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import (
-    CpdPoint,
-    DenseTensor,
-    khatri_rao,
-    residual_values,
-    unfold,
-)
+from .tensors import CpdPoint, DenseTensor, khatri_rao, residual_values, unfold_values
 
 __all__ = [
     "EvalCounters",
     "gradient",
+    "value_and_gradient",
     "GramianOperator",
     "explicit_jacobian",
     "KernelBasis",
@@ -52,21 +47,42 @@ class EvalCounters:
 def gradient(point: CpdPoint, tensor: DenseTensor) -> np.ndarray:
     """Gradient of the half squared residual norm, as a flat vector.
 
-    Computed mode by mode by unfolding the residual tensor against the
-    Khatri-Rao product of the remaining factors (decreasing mode order), one
-    pass per mode; cost is O(N R prod(dims)).
+    Computed mode by mode by unfolding the residual against the Khatri-Rao
+    product of the remaining factors (decreasing mode order), one pass per
+    mode; cost is O(N R prod(dims)).  Mode 0 reuses the Khatri-Rao product
+    that built the model.
     """
+    kr = khatri_rao(point.factors[:0:-1])
+    return _mttkrp_gradient(point, residual_values(point, tensor, kr), kr)
+
+
+def value_and_gradient(point: CpdPoint, tensor: DenseTensor) -> tuple[float, np.ndarray | None]:
+    """Half squared residual norm and its gradient, from one residual.
+
+    The values equal those of :func:`~ncpd.tensors.objective_value` and
+    :func:`gradient` bit for bit.  When the value is not finite the
+    gradient is not computed and ``None`` is returned in its place.
+    """
+    kr = khatri_rao(point.factors[:0:-1])
+    res = residual_values(point, tensor, kr)
+    value = 0.5 * float(res @ res)
+    if not math.isfinite(value):
+        return value, None
+    return value, _mttkrp_gradient(point, res, kr)
+
+
+def _mttkrp_gradient(point: CpdPoint, res: np.ndarray, kr0: np.ndarray) -> np.ndarray:
+    """The gradient from the flat residual ``res``; ``kr0`` is the Khatri-Rao
+    product of the factors of modes ``N-1, ..., 1``.  The unfoldings are
+    taken of ``res`` itself, so modes ``0`` and ``N-1`` copy nothing."""
     structure = point.structure
-    if structure.dims != tensor.dims:
-        raise ValueError(f"point dims {structure.dims} do not match tensor {tensor.dims}")
-    res = DenseTensor(tensor.dims, residual_values(point, tensor))
     factors = point.factors
     n_modes = structure.num_modes
     grad_factors = []
     grad_weights = None
     for n in range(n_modes):
         others = [factors[m] for m in range(n_modes - 1, -1, -1) if m != n]
-        mtt = unfold(res, n) @ khatri_rao(others)
+        mtt = unfold_values(res, structure.dims, n) @ (kr0 if n == 0 else khatri_rao(others))
         grad_factors.append(mtt * point.weights[None, :])
         if n == 0:
             grad_weights = np.einsum("ir,ir->r", factors[0], mtt)

@@ -229,13 +229,16 @@ class ExperimentReport:
     """Per-run records plus aggregate statistics, serializable as CSV + JSON.
 
     Serialization is deterministic: stable column order, 17-significant-digit
-    decimals, sorted JSON keys, no timestamps.
+    decimals, sorted JSON keys, no timestamps.  ``traces`` holds the solver
+    traces of every run, in record order, when the study was asked to keep
+    them, and is ``None`` otherwise; it is not serialized.
     """
 
-    def __init__(self, name: str, records: list, aggregate: dict):
+    def __init__(self, name: str, records: list, aggregate: dict, traces: list | None = None):
         self.name = name
         self.records = records
         self.aggregate = aggregate
+        self.traces = traces
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -330,10 +333,7 @@ def run_experiment_quadratic(
         },
         "max_final_f": max((r.final_f for r in records), default=None),
     }
-    report = ExperimentReport("quadratic", records, aggregate)
-    if keep_traces:
-        report.traces = traces
-    return report
+    return ExperimentReport("quadratic", records, aggregate, traces if keep_traces else None)
 
 
 def run_experiment_compare(
@@ -411,7 +411,4 @@ def run_experiment_compare(
             "pgd": log_hist([r.pgd_gradients for r in records]),
         },
     }
-    report = ExperimentReport("compare", records, aggregate)
-    if keep_traces:
-        report.traces = traces
-    return report
+    return ExperimentReport("compare", records, aggregate, traces if keep_traces else None)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import EvalCounters, GramianOperator, gradient
+from .calculus import EvalCounters, GramianOperator, gradient, value_and_gradient
 from .constraints import FeasibleSet, ProjJacobianElement, project, proj_jacobian
 from .tensors import CpdPoint, DenseTensor, objective_value
 
@@ -36,8 +36,6 @@ __all__ = [
     "CpdProblem",
     "StepState",
     "fb_step",
-    "residual_map",
-    "fbe",
     "JhatOperator",
     "jhat_operator",
 ]
@@ -47,7 +45,10 @@ class CpdProblem:
     """A data tensor, a feasible set, and the work counters of one solve.
 
     All objective and gradient evaluations the solver performs are routed
-    through this object so the counters stay exact.
+    through this object so the counters stay exact: each method counts one
+    objective evaluation (``fevals``) per value and one gradient evaluation
+    (``gevals``) per gradient it returns, and raises
+    :class:`FloatingPointError` on a non-finite result.
     """
 
     def __init__(self, tensor: DenseTensor, fset: FeasibleSet, counters: EvalCounters | None = None):
@@ -68,20 +69,35 @@ class CpdProblem:
 
     def objective(self, point: CpdPoint) -> float:
         self.counters.fevals += 1
-        value = objective_value(point, self.tensor)
-        if not np.isfinite(value):
-            raise FloatingPointError("objective evaluated to a non-finite value")
-        return value
+        return _finite_value(objective_value(point, self.tensor))
 
     def gradient(self, point: CpdPoint) -> np.ndarray:
         self.counters.gevals += 1
-        g = gradient(point, self.tensor)
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("gradient evaluated to a non-finite value")
-        return g
+        return _finite_gradient(gradient(point, self.tensor))
+
+    def value_and_gradient(self, point: CpdPoint) -> tuple[float, np.ndarray]:
+        """Objective and gradient from one residual.  A non-finite objective
+        raises before the gradient is computed or counted."""
+        self.counters.fevals += 1
+        value, g = value_and_gradient(point, self.tensor)
+        _finite_value(value)
+        self.counters.gevals += 1
+        return value, _finite_gradient(g)
 
     def gramian(self, point: CpdPoint) -> GramianOperator:
         return GramianOperator(point, self.counters)
+
+
+def _finite_value(value: float) -> float:
+    if not np.isfinite(value):
+        raise FloatingPointError("objective evaluated to a non-finite value")
+    return value
+
+
+def _finite_gradient(g: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(g)):
+        raise FloatingPointError("gradient evaluated to a non-finite value")
+    return g
 
 
 class StepState:
@@ -133,23 +149,16 @@ class StepState:
 
 
 def fb_step(problem: CpdProblem, x, gamma: float) -> StepState:
-    """Evaluate one forward-backward step; exactly one objective and one
-    gradient evaluation are consumed."""
+    """Evaluate one forward-backward step at ``x``.
+
+    The objective and the gradient at ``x`` come from one residual, built
+    once (:meth:`CpdProblem.value_and_gradient`), and count as exactly one
+    objective and one gradient evaluation.  The objective at the projected
+    point is left to :attr:`StepState.fz`.
+    """
     x = np.asarray(x, dtype=np.float64)
-    point = problem.point(x)
-    fx = problem.objective(point)
-    grad = problem.gradient(point)
+    fx, grad = problem.value_and_gradient(problem.point(x))
     return StepState(problem, x, gamma, fx, grad)
-
-
-def residual_map(state: StepState) -> np.ndarray:
-    """Fixed-point residual ``x - project(x - gamma grad f(x))``."""
-    return state.r
-
-
-def fbe(state: StepState) -> float:
-    """Envelope value at the state's point and stepsize."""
-    return state.fbe
 
 
 class JhatOperator:

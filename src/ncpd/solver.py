@@ -359,15 +359,23 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace: SolverTrace,
         trace.append(IterationRecord(**base, tau=0.0, tau_halvings=0, kind="term"))
         return SolverResult(st.z, st.fz, reason, k, trace)
 
+    def halve_gamma():
+        """Re-evaluate the current iterate at half the stepsize; ``False``
+        when the halving budget is spent."""
+        nonlocal gamma, gh_pending, gh_total, state
+        if gh_total >= cfg.max_gamma_halvings:
+            return False
+        gamma *= 0.5
+        gh_pending += 1
+        gh_total += 1
+        state = state.with_gamma(gamma)
+        return True
+
     while True:
         # Stepsize validation; free when the state already passed at this gamma.
         while not gamma_condition(state, cfg.alpha):
-            if gh_total >= cfg.max_gamma_halvings:
+            if not halve_gamma():
                 return finish(state, snapshot(state), "stagnation")
-            gamma *= 0.5
-            gh_pending += 1
-            gh_total += 1
-            state = state.with_gamma(gamma)
 
         base = snapshot(state)
         if state.rnorm**2 / gamma <= cfg.epsilon:
@@ -396,12 +404,8 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace: SolverTrace,
                 kind = "pgd"
             cand = fb_step(problem, x_trial, gamma)
             if not gamma_condition(cand, cfg.alpha):
-                if gh_total >= cfg.max_gamma_halvings:
+                if not halve_gamma():
                     return finish(state, snapshot(state), "stagnation")
-                gamma *= 0.5
-                gh_pending += 1
-                gh_total += 1
-                state = state.with_gamma(gamma)
                 restart = True
                 break
             if tau > 0.0:

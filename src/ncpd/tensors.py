@@ -30,6 +30,7 @@ __all__ = [
     "khatri_rao",
     "tensor_from_cpd",
     "unfold",
+    "unfold_values",
     "refold",
     "residual_values",
     "objective_value",
@@ -132,10 +133,14 @@ class CpdStructure:
     def size(self) -> int:
         return self.factor_dim + self.rank
 
+    @cached_property
+    def _offsets(self) -> tuple[int, ...]:
+        return tuple(self.rank * sum(self.dims[:n]) for n in range(self.num_modes))
+
     def mode_offset(self, mode: int) -> int:
         if not 0 <= mode < self.num_modes:
             raise ValueError(f"mode {mode} out of range for {self.num_modes} modes")
-        return self.rank * sum(self.dims[:mode])
+        return self._offsets[mode]
 
     def block_slice(self, mode: int, column: int) -> slice:
         """Flat slice of factor column ``column`` of mode ``mode``."""
@@ -172,11 +177,11 @@ class CpdStructure:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.size,):
             raise ValueError(f"expected flat length {self.size}, got {x.shape}")
-        factors = []
-        for n in range(self.num_modes):
-            off = self.mode_offset(n)
-            block = x[off : off + self.rank * self.dims[n]]
-            factors.append(block.reshape((self.dims[n], self.rank), order="F"))
+        rank = self.rank
+        factors = [
+            x[off : off + rank * dim].reshape((dim, rank), order="F")
+            for off, dim in zip(self._offsets, self.dims)
+        ]
         return factors, x[self.weight_slice]
 
     def join(self, factors, weights) -> np.ndarray:
@@ -219,6 +224,11 @@ class CpdPoint:
                 raise ValueError(
                     f"factor {n} has shape {a.shape}, expected (I_{n}, {rank})"
                 )
+        self._own(factors, weights, degenerate)
+
+    def _own(self, factors: list[np.ndarray], weights: np.ndarray, degenerate: bool) -> None:
+        """Store arrays this point alone holds, marked read-only."""
+        for a in factors:
             a.setflags(write=False)
         weights.setflags(write=False)
         self.factors = factors
@@ -237,8 +247,14 @@ class CpdPoint:
 
     @classmethod
     def from_flat(cls, structure: CpdStructure, x, degenerate: bool = False) -> "CpdPoint":
-        factors, weights = structure.split(np.asarray(x, dtype=np.float64))
-        return cls([a.copy() for a in factors], weights.copy(), degenerate=degenerate)
+        """The point whose flat layout is ``x``.  Each block is copied once,
+        to a row-major matrix; the shapes are valid by construction, so the
+        checks of ``__init__`` are skipped."""
+        factors, weights = structure.split(x)
+        point = cls.__new__(cls)
+        point._own([a.copy() for a in factors], weights.copy(), degenerate)
+        point.structure = structure
+        return point
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.flat))
@@ -289,8 +305,15 @@ def unfold(tensor: DenseTensor, mode: int) -> np.ndarray:
     """
     if not 0 <= mode < tensor.num_modes:
         raise ValueError(f"mode {mode} out of range for {tensor.num_modes} modes")
-    arr = tensor.as_array()
-    return np.reshape(np.moveaxis(arr, mode, 0), (tensor.dims[mode], -1), order="F")
+    return unfold_values(tensor.values, tensor.dims, mode)
+
+
+def unfold_values(values: np.ndarray, dims: tuple[int, ...], mode: int) -> np.ndarray:
+    """:func:`unfold` of the flat canonical-order ``values`` of a tensor of
+    shape ``dims``, unchecked.  A view of ``values`` when numpy can make
+    one, which it always can for modes 0 and N-1."""
+    arr = values.reshape(dims, order="F")
+    return np.reshape(np.moveaxis(arr, mode, 0), (dims[mode], -1), order="F")
 
 
 def refold(matrix, dims, mode: int) -> DenseTensor:
@@ -304,11 +327,25 @@ def refold(matrix, dims, mode: int) -> DenseTensor:
     return DenseTensor.from_array(arr)
 
 
-def residual_values(point: CpdPoint, tensor: DenseTensor) -> np.ndarray:
-    """Flat residual (model minus data) in canonical flat order."""
+def residual_values(point: CpdPoint, tensor: DenseTensor, kr: np.ndarray | None = None) -> np.ndarray:
+    """Flat residual (model minus data) in canonical flat order.
+
+    ``kr`` is the Khatri-Rao product of the factors of modes ``N-1, ..., 1``
+    when the caller has it already.  The model's mode-0 unfolding is formed
+    as in :func:`tensor_from_cpd` and subtracted from the data in one pass,
+    written straight into the flat result, so the values equal
+    ``tensor_from_cpd(point).values - tensor.values`` bit for bit.
+    """
     if point.structure.dims != tensor.dims:
         raise ValueError(f"point dims {point.structure.dims} do not match tensor {tensor.dims}")
-    return tensor_from_cpd(point).values - tensor.values
+    if kr is None:
+        kr = khatri_rao(point.factors[:0:-1])
+    mat = point.factors[0] @ (point.weights[:, None] * kr.T)
+    rows = tensor.dims[0]
+    res = np.empty(tensor.size)
+    # row j of res.reshape(-1, I_0) is column j of the mode-0 unfolding
+    np.subtract(mat.T, tensor.values.reshape(-1, rows), out=res.reshape(-1, rows))
+    return res
 
 
 def objective_value(point: CpdPoint, tensor: DenseTensor) -> float:

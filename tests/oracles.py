@@ -295,3 +295,59 @@ def jhat_apply_transpose_loop(pj_apply, gram_apply, gamma, v):
     """``v - P v + gamma G (P v)`` from the two loop references."""
     pv = pj_apply(v)
     return v - pv + gamma * gram_apply(pv)
+
+
+# --- the evaluation path the flat residual core replaced --------------------
+#
+# The model built as a dense tensor (mode-0 unfolding, column-major flatten,
+# the tensor object's own copy), the residual subtracted from it, copied into
+# a tensor object again, and unfolded per mode.  Same numpy calls on operands
+# of the same memory layout, so the lean evaluation must match it bit for bit.
+
+
+def khatri_rao_pairwise(matrices):
+    """Column-wise Kronecker product, one pairwise outer product at a time."""
+    cols = matrices[0].shape[1]
+    out = matrices[0]
+    for m in matrices[1:]:
+        out = (out[:, None, :] * m[None, :, :]).reshape(-1, cols)
+    return out
+
+
+def model_values(factors, weights):
+    """Flat model values, through the mode-0 unfolding."""
+    n = len(factors)
+    kr = khatri_rao_pairwise([factors[m] for m in range(n - 1, 0, -1)])
+    mat = factors[0] @ (weights[:, None] * kr.T)
+    return mat.flatten(order="F").copy()
+
+
+def residual_via_model(factors, weights, data):
+    return model_values(factors, weights) - data
+
+
+def objective_via_model(factors, weights, data):
+    res = residual_via_model(factors, weights, data)
+    return 0.5 * float(res @ res)
+
+
+def unfold_values(values, dims, mode):
+    arr = values.reshape(dims, order="F")
+    return np.reshape(np.moveaxis(arr, mode, 0), (dims[mode], -1), order="F")
+
+
+def gradient_via_model(factors, weights, data):
+    """Per-mode MTTKRP on unfoldings of a copied residual, then joined."""
+    dims = tuple(a.shape[0] for a in factors)
+    n = len(factors)
+    res = residual_via_model(factors, weights, data).copy()
+    parts = []
+    grad_weights = None
+    for mode in range(n):
+        others = [factors[m] for m in range(n - 1, -1, -1) if m != mode]
+        mtt = unfold_values(res, dims, mode) @ khatri_rao_pairwise(others)
+        parts.append((mtt * weights[None, :]).flatten(order="F"))
+        if mode == 0:
+            grad_weights = np.einsum("ir,ir->r", factors[0], mtt)
+    parts.append(grad_weights)
+    return np.concatenate(parts)

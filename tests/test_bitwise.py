@@ -1,12 +1,16 @@
-"""The vectorized operators against the per-block loop references in
-``oracles``, bit for bit.
+"""The fast paths against the references in ``oracles``, bit for bit.
 
 Solver traces are chaotic under rounding (one changed last bit moves
 iteration counts and convergence slopes), so the fast paths of
 ``project``, ``ProjJacobianElement.apply``, ``GramianOperator.apply`` and
-``JhatOperator.apply``/``apply_transpose`` must reproduce the loops exactly,
-signed zeros included.
+``JhatOperator.apply``/``apply_transpose`` must reproduce the per-block
+loops exactly, signed zeros included, and the flat residual core
+(``residual_values``, ``objective_value``, ``gradient`` and the fused
+``value_and_gradient``) must reproduce the evaluation through a dense model
+tensor and per-mode unfoldings of a copied residual.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ncpd.calculus import GramianOperator
+from ncpd.calculus import EvalCounters, GramianOperator, gradient, value_and_gradient
 from ncpd.constraints import DegenerateBlockError, FeasibleSet, proj_jacobian, project
-from ncpd.forward_backward import JhatOperator
-from ncpd.tensors import CpdPoint, CpdStructure
+from ncpd.forward_backward import CpdProblem, JhatOperator, fb_step
+from ncpd.tensors import CpdPoint, CpdStructure, DenseTensor, objective_value, residual_values
 
 
 def bits(a):
@@ -151,3 +155,62 @@ def test_operators_match_loops_bitwise_at_solver_sizes(dims, rank):
     assert_bitwise(op.apply(v), oracles.jhat_apply_loop(pj, gram, gamma, v))
     assert_bitwise(op.apply_transpose(v), oracles.jhat_apply_transpose_loop(pj, gram, gamma, v))
     assert_bitwise(project(FeasibleSet(structure), w).flat, oracles.project_loop(w, dims, rank)[0])
+
+
+# --- the flat residual core ---------------------------------------------------
+
+
+@st.composite
+def evaluations(draw):
+    """A point from :func:`cases` (row- or column-major factors, signed
+    zeros) and a data tensor of its shape.  Mode sizes of 1 make some
+    middle-mode unfoldings views of the residual instead of copies."""
+    structure, _, _, _, point, _, _ = draw(cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.standard_normal(math.prod(structure.dims))
+    data = sprinkle_zeros(rng, data, draw(st.sampled_from([0.0, 0.3])))
+    return point, DenseTensor(structure.dims, data)
+
+
+def assert_evaluation_matches_model_path(point, tensor):
+    args = (point.factors, point.weights, tensor.values)
+    want_res = oracles.residual_via_model(*args)
+    want_f = np.float64(oracles.objective_via_model(*args))
+    want_g = oracles.gradient_via_model(*args)
+    assert_bitwise(residual_values(point, tensor), want_res)
+    assert_bitwise(np.float64(objective_value(point, tensor)), want_f)
+    assert_bitwise(gradient(point, tensor), want_g)
+    value, grad = value_and_gradient(point, tensor)
+    assert_bitwise(np.float64(value), want_f)
+    assert_bitwise(grad, want_g)
+
+
+@given(evaluations())
+@settings(max_examples=300, deadline=None)
+def test_evaluation_matches_model_path_bitwise(case):
+    assert_evaluation_matches_model_path(*case)
+
+
+@pytest.mark.parametrize("dims,rank", [((10, 10, 10), 5), ((30, 30, 30, 30), 8), ((25, 40, 12, 40), 9)])
+def test_evaluation_matches_model_path_bitwise_at_solver_sizes(dims, rank):
+    structure = CpdStructure(dims, rank)
+    rng = np.random.default_rng(sum(dims) + rank)
+    x = rng.uniform(0.0, 1.0, structure.size)
+    tensor = DenseTensor(dims, rng.uniform(0.0, 1.0, math.prod(dims)))
+    # the solver evaluates row-major points at x and column-major ones at z
+    assert_evaluation_matches_model_path(CpdPoint.from_flat(structure, x), tensor)
+    assert_evaluation_matches_model_path(project(FeasibleSet(structure), x), tensor)
+
+
+@given(evaluations())
+@settings(max_examples=100, deadline=None)
+def test_fb_step_counts_one_evaluation_of_the_model_path(case):
+    point, tensor = case
+    structure = point.structure
+    problem = CpdProblem(tensor, FeasibleSet(structure), EvalCounters(fevals=3, gevals=5))
+    state = fb_step(problem, point.flat, 0.1)
+    assert (problem.counters.fevals, problem.counters.gevals) == (4, 6)
+    factors, weights = oracles.split_flat(point.flat, structure.dims, structure.rank)
+    args = (factors, weights, tensor.values)
+    assert_bitwise(np.float64(state.fx), np.float64(oracles.objective_via_model(*args)))
+    assert_bitwise(state.grad, oracles.gradient_via_model(*args))

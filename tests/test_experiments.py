@@ -293,7 +293,7 @@ def test_quadratic_keep_traces():
     assert len(report.traces) == 2
     assert all(len(t) > 0 for t in report.traces)
     plain = run_experiment_quadratic(runs=2, base_seed=1, instance=SMALL)
-    assert not hasattr(plain, "traces")
+    assert plain.traces is None
 
 
 def test_compare_report_shape():

@@ -4,7 +4,7 @@ import pytest
 from helpers import random_feasible, strictly_positive_point, tiny_structure
 from ncpd.calculus import EvalCounters, explicit_jacobian
 from ncpd.constraints import FeasibleSet, proj_jacobian, project
-from ncpd.forward_backward import CpdProblem, fb_step, fbe, jhat_operator, residual_map
+from ncpd.forward_backward import CpdProblem, fb_step, jhat_operator
 from ncpd.tensors import CpdStructure, objective_value, tensor_from_cpd
 
 
@@ -23,9 +23,9 @@ def make_problem(seed=0, dims=(4, 3, 2), rank=2):
 def test_fixed_point_at_exact_solution():
     problem, planted, _ = make_problem()
     state = fb_step(problem, planted.flat, 0.1)
-    assert np.allclose(residual_map(state), 0.0, atol=1e-12)
+    assert np.allclose(state.r, 0.0, atol=1e-12)
     assert state.rnorm == pytest.approx(0.0, abs=1e-12)
-    assert fbe(state) == pytest.approx(0.0, abs=1e-20)
+    assert state.fbe == pytest.approx(0.0, abs=1e-20)
     assert state.fz == pytest.approx(0.0, abs=1e-20)
 
 

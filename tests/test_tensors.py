@@ -52,6 +52,31 @@ def test_split_join_round_trip(dims, rank, seed):
     assert np.array_equal(oracles.join_flat(factors, weights), x)
 
 
+def test_from_flat_owns_row_major_copies():
+    structure = CpdStructure((4, 3, 2), 2)
+    x = np.random.default_rng(3).standard_normal(structure.size)
+    point = CpdPoint.from_flat(structure, x)
+    want_factors, want_weights = oracles.split_flat(x.copy(), structure.dims, structure.rank)
+    x[:] = 0.0  # the point holds its own copies
+    for a, want in zip(point.factors, want_factors):
+        assert a.flags.c_contiguous and not a.flags.writeable
+        assert np.array_equal(a, want)
+    assert not point.weights.flags.writeable
+    assert np.array_equal(point.weights, want_weights)
+    assert point.structure == structure
+
+
+def test_split_and_mode_offset_reject_bad_input():
+    structure = CpdStructure((4, 3, 2), 2)
+    assert [structure.mode_offset(n) for n in range(3)] == [0, 8, 14]
+    with pytest.raises(ValueError, match="flat length"):
+        structure.split(np.zeros(structure.size + 1))
+    with pytest.raises(ValueError, match="out of range"):
+        structure.mode_offset(3)
+    with pytest.raises(ValueError, match="out of range"):
+        structure.mode_offset(-1)
+
+
 def test_point_flat_matches_oracle_order():
     structure = CpdStructure((3, 2), 2)
     point = random_point(structure, 7)
