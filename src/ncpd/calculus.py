@@ -26,6 +26,8 @@ __all__ = [
     "EvalCounters",
     "gradient",
     "value_and_gradient",
+    "value_and_residual",
+    "gradient_from_residual",
     "GramianOperator",
     "explicit_jacobian",
     "KernelBasis",
@@ -53,7 +55,7 @@ def gradient(point: CpdPoint, tensor: DenseTensor) -> np.ndarray:
     that built the model.
     """
     kr = khatri_rao(point.factors[:0:-1])
-    return _mttkrp_gradient(point, residual_values(point, tensor, kr), kr)
+    return gradient_from_residual(point, residual_values(point, tensor, kr), kr)
 
 
 def value_and_gradient(point: CpdPoint, tensor: DenseTensor) -> tuple[float, np.ndarray | None]:
@@ -63,18 +65,27 @@ def value_and_gradient(point: CpdPoint, tensor: DenseTensor) -> tuple[float, np.
     :func:`gradient` bit for bit.  When the value is not finite the
     gradient is not computed and ``None`` is returned in its place.
     """
-    kr = khatri_rao(point.factors[:0:-1])
-    res = residual_values(point, tensor, kr)
-    value = 0.5 * float(res @ res)
+    value, res, kr = value_and_residual(point, tensor)
     if not math.isfinite(value):
         return value, None
-    return value, _mttkrp_gradient(point, res, kr)
+    return value, gradient_from_residual(point, res, kr)
 
 
-def _mttkrp_gradient(point: CpdPoint, res: np.ndarray, kr0: np.ndarray) -> np.ndarray:
-    """The gradient from the flat residual ``res``; ``kr0`` is the Khatri-Rao
-    product of the factors of modes ``N-1, ..., 1``.  The unfoldings are
-    taken of ``res`` itself, so modes ``0`` and ``N-1`` copy nothing."""
+def value_and_residual(point: CpdPoint, tensor: DenseTensor) -> tuple[float, np.ndarray, np.ndarray]:
+    """Half squared residual norm, the flat residual, and the Khatri-Rao
+    product of the factors of modes ``N-1, ..., 1`` that built it: what
+    :func:`gradient_from_residual` needs besides the point.  The value
+    equals :func:`~ncpd.tensors.objective_value` bit for bit."""
+    kr = khatri_rao(point.factors[:0:-1])
+    res = residual_values(point, tensor, kr)
+    return 0.5 * float(res @ res), res, kr
+
+
+def gradient_from_residual(point: CpdPoint, res: np.ndarray, kr0: np.ndarray) -> np.ndarray:
+    """The gradient from the flat residual ``res`` at ``point``; ``kr0`` is
+    the Khatri-Rao product of the factors of modes ``N-1, ..., 1``.  The
+    unfoldings are taken of ``res`` itself, so modes ``0`` and ``N-1`` copy
+    nothing."""
     structure = point.structure
     factors = point.factors
     n_modes = structure.num_modes

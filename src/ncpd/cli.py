@@ -26,7 +26,7 @@ from .experiments import (
     run_experiment_compare,
     run_experiment_quadratic,
 )
-from .solver import SolverConfig, panoc_solve, pgd_solve
+from .solver import NonFiniteError, SolverConfig, panoc_solve, pgd_solve
 from .tensors import CpdStructure, DenseTensor, ten_read, ten_write
 
 __all__ = ["main", "build_config"]
@@ -94,8 +94,12 @@ def cmd_decompose(args) -> int:
     structure = CpdStructure(tensor.dims, rank)
     start = random_feasible_point(structure, cfg.seed)
     solve = pgd_solve if args.pgd_only else panoc_solve
-    result = solve(tensor, start, cfg)
     out = args.out
+    try:
+        result = solve(tensor, start, cfg)
+    except NonFiniteError as exc:
+        exc.trace.write_csv(f"{out}.trace.csv")  # the rows logged before the failure
+        raise
     for n, factor in enumerate(result.point.factors):
         ten_write(f"{out}.factor{n + 1}.ten", DenseTensor.from_array(factor))
     ten_write(f"{out}.lambda.ten", DenseTensor.from_array(result.point.weights[:, None]))

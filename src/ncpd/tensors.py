@@ -247,13 +247,17 @@ class CpdPoint:
 
     @classmethod
     def from_flat(cls, structure: CpdStructure, x, degenerate: bool = False) -> "CpdPoint":
-        """The point whose flat layout is ``x``.  Each block is copied once,
-        to a row-major matrix; the shapes are valid by construction, so the
-        checks of ``__init__`` are skipped."""
-        factors, weights = structure.split(x)
+        """The point whose flat layout is ``x``.  ``flat`` is a read-only
+        copy of ``x``, the weights a view of it, and each factor block is
+        copied once, to a row-major matrix; the shapes are valid by
+        construction, so the checks of ``__init__`` are skipped."""
+        flat = np.array(x, dtype=np.float64)
+        factors, weights = structure.split(flat)
+        flat.setflags(write=False)
         point = cls.__new__(cls)
-        point._own([a.copy() for a in factors], weights.copy(), degenerate)
+        point._own([a.copy() for a in factors], weights, degenerate)
         point.structure = structure
+        point.flat = flat
         return point
 
     def norm(self) -> float:
@@ -332,19 +336,19 @@ def residual_values(point: CpdPoint, tensor: DenseTensor, kr: np.ndarray | None 
 
     ``kr`` is the Khatri-Rao product of the factors of modes ``N-1, ..., 1``
     when the caller has it already.  The model's mode-0 unfolding is formed
-    as in :func:`tensor_from_cpd` and subtracted from the data in one pass,
-    written straight into the flat result, so the values equal
-    ``tensor_from_cpd(point).values - tensor.values`` bit for bit.
+    by the matrix product of :func:`tensor_from_cpd`, written straight into
+    the flat result, from which the data is then subtracted in place, so the
+    values equal ``tensor_from_cpd(point).values - tensor.values`` bit for
+    bit.
     """
     if point.structure.dims != tensor.dims:
         raise ValueError(f"point dims {point.structure.dims} do not match tensor {tensor.dims}")
     if kr is None:
         kr = khatri_rao(point.factors[:0:-1])
-    mat = point.factors[0] @ (point.weights[:, None] * kr.T)
-    rows = tensor.dims[0]
     res = np.empty(tensor.size)
-    # row j of res.reshape(-1, I_0) is column j of the mode-0 unfolding
-    np.subtract(mat.T, tensor.values.reshape(-1, rows), out=res.reshape(-1, rows))
+    # res.reshape(-1, I_0).T is the mode-0 unfolding of the flat result
+    np.matmul(point.factors[0], point.weights[:, None] * kr.T, out=res.reshape(-1, tensor.dims[0]).T)
+    np.subtract(res, tensor.values, out=res)
     return res
 
 
@@ -374,7 +378,10 @@ def ten_write(path, tensor: DenseTensor) -> None:
 
 
 def ten_read(path) -> DenseTensor:
-    with open(path, "r", encoding="ascii") as fh:
+    """Read a tensor file.  Raises :class:`ValueError`, naming the file, on
+    a malformed header, a wrong value count, or a value that is malformed
+    or not finite."""
+    with open(path, "rb") as fh:
         tokens = fh.read().split()
     if not tokens:
         raise ValueError(f"{path}: empty tensor file")
@@ -395,7 +402,9 @@ def ten_read(path) -> DenseTensor:
     if len(body) != expected:
         raise ValueError(f"{path}: expected {expected} values, found {len(body)}")
     try:
-        values = np.array([float(t) for t in body], dtype=np.float64)
+        values = np.array(body, dtype=np.float64)
     except ValueError:
         raise ValueError(f"{path}: malformed value") from None
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: non-finite value (nan or inf)")
     return DenseTensor(dims, values)

@@ -7,7 +7,9 @@ iteration counts and convergence slopes), so the fast paths of
 loops exactly, signed zeros included, and the flat residual core
 (``residual_values``, ``objective_value``, ``gradient`` and the fused
 ``value_and_gradient``) must reproduce the evaluation through a dense model
-tensor and per-mode unfoldings of a copied residual.
+tensor and per-mode unfoldings of a copied residual.  A step to the point
+whose objective was evaluated last reuses that residual, and must return
+the bits of a step that builds it afresh.
 """
 
 import math
@@ -214,3 +216,81 @@ def test_fb_step_counts_one_evaluation_of_the_model_path(case):
     args = (factors, weights, tensor.values)
     assert_bitwise(np.float64(state.fx), np.float64(oracles.objective_via_model(*args)))
     assert_bitwise(state.grad, oracles.gradient_via_model(*args))
+
+
+# --- the residual kept from the projected point's objective -------------------
+
+
+def evaluated_step(point, tensor):
+    """A problem whose last objective evaluation is ``fz`` of the step at
+    ``point``, and that step."""
+    problem = CpdProblem(tensor, FeasibleSet(point.structure))
+    state = fb_step(problem, point.flat, 0.1)
+    state.fz
+    return problem, state
+
+
+def counts(problem):
+    return problem.counters.fevals, problem.counters.gevals
+
+
+@given(evaluations())
+@settings(max_examples=100, deadline=None)
+def test_kept_residual_gives_the_bits_of_a_fresh_step(case):
+    point, tensor = case
+    problem, state = evaluated_step(point, tensor)
+    fe, ge = counts(problem)
+    hit = fb_step(problem, state.z.flat, 0.1)
+    assert counts(problem) == (fe, ge + 1)
+    fresh = fb_step(CpdProblem(tensor, FeasibleSet(point.structure)), state.z.flat, 0.1)
+    for got in (hit, fresh):
+        assert_bitwise(np.float64(got.fx), np.float64(state.fz))
+    assert_bitwise(hit.grad, fresh.grad)
+    factors, weights = oracles.split_flat(state.z.flat, point.structure.dims, point.structure.rank)
+    assert_bitwise(hit.grad, oracles.gradient_via_model(factors, weights, tensor.values))
+    # the kept residual was used up: the same point again builds its own
+    again = fb_step(problem, state.z.flat, 0.1)
+    assert counts(problem) == (fe + 1, ge + 2)
+    assert_bitwise(again.grad, fresh.grad)
+
+
+@given(evaluations(), st.integers(0, 10**6), st.sampled_from([np.inf, -np.inf]))
+@settings(max_examples=100, deadline=None)
+def test_kept_residual_misses_a_point_one_ulp_away(case, index, direction):
+    point, tensor = case
+    problem, state = evaluated_step(point, tensor)
+    x = np.array(state.z.flat)
+    i = index % x.size
+    x[i] = np.nextafter(x[i], direction)
+    fe, ge = counts(problem)
+    step = fb_step(problem, x, 0.1)
+    assert counts(problem) == (fe + 1, ge + 1)
+    factors, weights = oracles.split_flat(x, point.structure.dims, point.structure.rank)
+    assert_bitwise(step.grad, oracles.gradient_via_model(factors, weights, tensor.values))
+
+
+def test_kept_residual_misses_a_zero_of_the_other_sign():
+    # +0.0 and -0.0 compare equal as values but are different points' bits
+    structure = CpdStructure((4, 3, 2), 2)
+    rng = np.random.default_rng(7)
+    tensor = DenseTensor(structure.dims, rng.standard_normal(24))
+    problem, state = evaluated_step(CpdPoint.from_flat(structure, rng.standard_normal(structure.size)), tensor)
+    x = np.array(state.z.flat)
+    zeros = np.flatnonzero(x == 0.0)
+    assert zeros.size > 0
+    x[zeros[0]] = -x[zeros[0]]
+    fe, ge = counts(problem)
+    fb_step(problem, x, 0.1)
+    assert counts(problem) == (fe + 1, ge + 1)
+
+
+def test_kept_residual_is_dropped_by_the_next_objective():
+    structure = CpdStructure((4, 3, 2), 2)
+    rng = np.random.default_rng(8)
+    tensor = DenseTensor(structure.dims, rng.standard_normal(24))
+    problem, state = evaluated_step(CpdPoint.from_flat(structure, rng.uniform(0.1, 1.0, structure.size)), tensor)
+    other = fb_step(CpdProblem(tensor, FeasibleSet(structure)), state.x + 0.5, 0.1)
+    problem.objective(other.z)
+    fe, ge = counts(problem)
+    fb_step(problem, state.z.flat, 0.1)
+    assert counts(problem) == (fe + 1, ge + 1)

@@ -6,8 +6,8 @@ import pytest
 
 from ncpd.checks import run_checks
 from ncpd.cli import main
-from ncpd.experiments import InstanceSpec, gen_exact_instance
-from ncpd.tensors import ten_read, ten_write
+from ncpd.experiments import InstanceSpec, gen_exact_instance, gen_inexact_instance
+from ncpd.tensors import DenseTensor, ten_read, ten_write
 
 SMALL_SPEC = InstanceSpec(
     dims=(6, 5, 4), rank=2, seed=4, zeros_per_factor=3, negative_entries_per_factor=3
@@ -120,6 +120,35 @@ def test_decompose_malformed_tensor(tmp_path, capsys):
     code = main(["decompose", str(bad), "--rank", "1", "--out", str(tmp_path / "x")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_decompose_rejects_non_finite_tensor_file(tmp_path, capsys, value):
+    bad = tmp_path / "bad.ten"
+    bad.write_text(f"2\n2 2\n1.0\n{value}\n3.0\n4.0\n")
+    out = tmp_path / "x"
+    code = main(["decompose", str(bad), "--rank", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and "non-finite" in err
+    assert list(tmp_path.iterdir()) == [bad]  # rejected before the solve
+
+
+def test_decompose_writes_partial_trace_on_non_finite_value(tmp_path, capsys):
+    # a finite tensor whose squared residual overflows: the solve raises
+    # after one trace row (compare-study seed 1, scaled by 1e50)
+    tensor = gen_inexact_instance(InstanceSpec(seed=1))
+    path = tmp_path / "scaled.ten"
+    ten_write(path, DenseTensor(tensor.dims, tensor.values * 1e50))
+    out = tmp_path / "scaled"
+    with np.errstate(over="ignore"):
+        code = main(["decompose", str(path), "--seed", "1", "--out", str(out)])
+    assert code == 1
+    assert "non-finite" in capsys.readouterr().err
+    lines = (tmp_path / "scaled.trace.csv").read_text().splitlines()
+    assert lines[0].startswith("k,f,fbe,")
+    assert len(lines) == 2 and lines[1].startswith("0,")
+    assert not (tmp_path / "scaled.summary.json").exists()
 
 
 def test_decompose_pgd_only_with_iteration_cap(tensor_file, tmp_path, capsys):

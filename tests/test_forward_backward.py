@@ -4,7 +4,9 @@ import pytest
 from helpers import random_feasible, strictly_positive_point, tiny_structure
 from ncpd.calculus import EvalCounters, explicit_jacobian
 from ncpd.constraints import FeasibleSet, proj_jacobian, project
+from ncpd.experiments import InstanceSpec, gen_inexact_instance, random_feasible_point
 from ncpd.forward_backward import CpdProblem, fb_step, jhat_operator
+from ncpd.solver import SolverConfig, pgd_solve
 from ncpd.tensors import CpdStructure, objective_value, tensor_from_cpd
 
 
@@ -70,6 +72,26 @@ def test_counters_one_f_one_g_per_step():
     assert problem.counters.fevals == 2
     state.fz
     assert problem.counters.fevals == 2  # cached
+
+
+@pytest.mark.parametrize("cauchy_floor", [False, True])
+def test_pgd_step_builds_one_residual(cauchy_floor):
+    # a step to the projected point reuses the residual of its objective, so
+    # an iteration that kept its stepsize adds one f (at the next projected
+    # point) and one g; stepsize changes re-evaluate f at a new projected
+    # point, and the final row may stop inside an iteration
+    spec = InstanceSpec(dims=(6, 5, 4), rank=3, seed=11)
+    tensor = gen_inexact_instance(spec)
+    start = random_feasible_point(spec.structure, 11)
+    rows = pgd_solve(tensor, start, SolverConfig(max_iters=300, cauchy_floor=cauchy_floor)).trace.records
+    steps = list(zip(rows, rows[1:-1]))
+    steady = [(a, b) for a, b in steps if b.gamma == a.gamma and b.gamma_halvings == 0]
+    assert len(steady) >= 50
+    for a, b in steady:
+        assert (b.fevals - a.fevals, b.gevals - a.gevals) == (1, 1)
+    for a, b in steps:
+        assert b.fevals - a.fevals <= 2 + 2 * b.gamma_halvings
+        assert b.gevals - a.gevals <= 1 + b.gamma_halvings
 
 
 def test_with_gamma_reuses_point_evaluations():

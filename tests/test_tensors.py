@@ -64,6 +64,8 @@ def test_from_flat_owns_row_major_copies():
     assert not point.weights.flags.writeable
     assert np.array_equal(point.weights, want_weights)
     assert point.structure == structure
+    assert not point.flat.flags.writeable
+    assert np.array_equal(point.flat, point.structure.join(want_factors, want_weights))
 
 
 def test_split_and_mode_offset_reject_bad_input():
@@ -282,6 +284,36 @@ def test_ten_read_value_count_mismatch(tmp_path):
     path.write_text("2\n2 2\n1.0\n2.0\n3.0\n")
     with pytest.raises(ValueError):
         ten_read(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity", "1e400"])
+def test_ten_read_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "bad.ten"
+    path.write_text(f"2\n2 2\n1.0\n2.0\n{value}\n4.0\n")
+    with pytest.raises(ValueError, match="non-finite") as info:
+        ten_read(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5x", "0x10", "1,5", "\u00e9"])
+def test_ten_read_rejects_malformed_values(tmp_path, value):
+    path = tmp_path / "bad.ten"
+    path.write_bytes(f"2\n2 2\n1.0\n2.0\n{value}\n4.0\n".encode())
+    with pytest.raises(ValueError, match="malformed value") as info:
+        ten_read(path)
+    assert str(path) in str(info.value)
+
+
+def test_ten_read_parses_like_float(tmp_path, rng):
+    # wide exponents, signed zeros, extremes, other spellings, mixed blanks
+    values = np.concatenate([rng.standard_normal(20) * 10.0 ** rng.integers(-300, 300, 20),
+                             [0.0, -0.0, 5e-324, 1.7976931348623157e308]])
+    texts = [repr(float(v)) for v in values] + ["1E5", "+.5", "-3.", "1_000"]
+    path = tmp_path / "t.ten"
+    path.write_text(f"2\n{len(texts)} 1\n" + " \t".join(texts) + "\n\n")
+    back = ten_read(path)
+    want = np.array([float(t) for t in texts])
+    assert np.array_equal(back.values.view(np.uint64), want.view(np.uint64))
 
 
 def test_ten_read_bad_header(tmp_path):
