@@ -4,8 +4,10 @@
 Runs fixed solves and prints, per group, the SHA-256 of the concatenated
 trace CSVs, the same with one column left out (``--without``), the SHA-256
 of the concatenated final points (flat float64 bytes), and the final
-``fevals`` of every run.  Two checkouts whose hashes agree produce the
-same traces and points byte for byte; run it against each with
+``fevals``, ``gevals`` and objective ``f`` (17 significant digits) of every
+run.  Two checkouts whose hashes agree produce the same traces and points
+byte for byte; where they differ by rounding, the counts and ``f`` show
+how far.  Run it against each checkout with
 ``PYTHONPATH=<checkout>/src python scripts/trace_hashes.py``.
 
 Groups:
@@ -112,7 +114,10 @@ def main(argv=None) -> int:
             stripped = "".join(without_column(text, args.without) for text in csvs)
             line.append(f"traces-without-{args.without}={sha(stripped.encode())}")
         line.append(f"points={sha(b''.join(r.point.flat.tobytes() for r in results))}")
-        line.append("fevals=" + ",".join(str(r.trace.records[-1].fevals) for r in results))
+        finals = [r.trace.records[-1] for r in results]
+        line.append("fevals=" + ",".join(str(rec.fevals) for rec in finals))
+        line.append("gevals=" + ",".join(str(rec.gevals) for rec in finals))
+        line.append("f=" + ",".join(format(r.f, ".17g") for r in results))
         print("  ".join(line), flush=True)
     return 0
 

@@ -4,6 +4,12 @@ The residual map sends a factorization point to the flat difference between
 its rank-1 sum model and the data tensor.  Everything here is expressed in
 the canonical flat layout of :mod:`ncpd.tensors`.
 
+A gradient is the residual's MTTKRPs (matricized tensor times Khatri-Rao
+products), one per mode.  For tensors of up to three modes they take one
+full pass over the residual per mode, N passes.  From four modes on they
+take two full passes, one per half of a dimension tree that splits the
+modes in two, and no unfolding is copied.
+
 The Gramian (Jacobian-transpose times Jacobian) is never formed densely in
 the solver: thanks to the Kronecker structure of the Jacobian its action on
 a vector only needs the R-by-R cross products of the factor matrices, so one
@@ -20,13 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import CpdPoint, DenseTensor, khatri_rao, residual_values, unfold_values
+from .tensors import CpdPoint, DenseTensor, mttkrps, value_and_residual
 
 __all__ = [
     "EvalCounters",
     "gradient",
-    "value_and_gradient",
-    "value_and_residual",
     "gradient_from_residual",
     "GramianOperator",
     "explicit_jacobian",
@@ -49,55 +53,22 @@ class EvalCounters:
 def gradient(point: CpdPoint, tensor: DenseTensor) -> np.ndarray:
     """Gradient of the half squared residual norm, as a flat vector.
 
-    Computed mode by mode by unfolding the residual against the Khatri-Rao
-    product of the remaining factors (decreasing mode order), one pass per
-    mode; cost is O(N R prod(dims)).  Mode 0 reuses the Khatri-Rao product
-    that built the model.
+    The residual's MTTKRPs (:func:`~ncpd.tensors.mttkrps`) scaled by the
+    weights, and the weights' part from mode 0's.  That is two full passes
+    over the residual for ``N >= 4`` and N passes for ``N <= 3``, each of
+    cost O(R prod(dims)).
     """
-    kr = khatri_rao(point.factors[:0:-1])
-    return gradient_from_residual(point, residual_values(point, tensor, kr), kr)
+    _, res, products = value_and_residual(point, tensor)
+    return gradient_from_residual(point, res, products)
 
 
-def value_and_gradient(point: CpdPoint, tensor: DenseTensor) -> tuple[float, np.ndarray | None]:
-    """Half squared residual norm and its gradient, from one residual.
-
-    The values equal those of :func:`~ncpd.tensors.objective_value` and
-    :func:`gradient` bit for bit.  When the value is not finite the
-    gradient is not computed and ``None`` is returned in its place.
-    """
-    value, res, kr = value_and_residual(point, tensor)
-    if not math.isfinite(value):
-        return value, None
-    return value, gradient_from_residual(point, res, kr)
-
-
-def value_and_residual(point: CpdPoint, tensor: DenseTensor) -> tuple[float, np.ndarray, np.ndarray]:
-    """Half squared residual norm, the flat residual, and the Khatri-Rao
-    product of the factors of modes ``N-1, ..., 1`` that built it: what
-    :func:`gradient_from_residual` needs besides the point.  The value
-    equals :func:`~ncpd.tensors.objective_value` bit for bit."""
-    kr = khatri_rao(point.factors[:0:-1])
-    res = residual_values(point, tensor, kr)
-    return 0.5 * float(res @ res), res, kr
-
-
-def gradient_from_residual(point: CpdPoint, res: np.ndarray, kr0: np.ndarray) -> np.ndarray:
-    """The gradient from the flat residual ``res`` at ``point``; ``kr0`` is
-    the Khatri-Rao product of the factors of modes ``N-1, ..., 1``.  The
-    unfoldings are taken of ``res`` itself, so modes ``0`` and ``N-1`` copy
-    nothing."""
-    structure = point.structure
-    factors = point.factors
-    n_modes = structure.num_modes
-    grad_factors = []
-    grad_weights = None
-    for n in range(n_modes):
-        others = [factors[m] for m in range(n_modes - 1, -1, -1) if m != n]
-        mtt = unfold_values(res, structure.dims, n) @ (kr0 if n == 0 else khatri_rao(others))
-        grad_factors.append(mtt * point.weights[None, :])
-        if n == 0:
-            grad_weights = np.einsum("ir,ir->r", factors[0], mtt)
-    return structure.join(grad_factors, grad_weights)
+def gradient_from_residual(point: CpdPoint, res: np.ndarray, products: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The gradient from the flat residual ``res`` at ``point`` and the
+    Khatri-Rao products that built it, as returned by
+    :func:`~ncpd.tensors.value_and_residual`."""
+    mtts = mttkrps(point, res, products)
+    grad_weights = np.einsum("ir,ir->r", point.factors[0], mtts[0])
+    return point.structure.join([mtt * point.weights[None, :] for mtt in mtts], grad_weights)
 
 
 @functools.cache

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import EvalCounters, GramianOperator, gradient, gradient_from_residual, value_and_residual
+from .calculus import EvalCounters, GramianOperator, gradient, gradient_from_residual
 from .constraints import FeasibleSet, ProjJacobianElement, project, proj_jacobian
-from .tensors import CpdPoint, DenseTensor, objective_value  # noqa: F401 (perfbench's traced run wraps it here)
+from .tensors import CpdPoint, DenseTensor, objective_value, value_and_residual  # noqa: F401 (perfbench's traced run wraps objective_value here)
 
 __all__ = [
     "CpdProblem",
@@ -52,10 +52,12 @@ class CpdProblem:
 
     The residual of the last :meth:`objective` evaluation is kept until the
     next call of :meth:`objective` or :meth:`value_and_gradient`, and the
-    latter, at a point with exactly the same bits, takes f and the residual
-    from it instead of building the residual again: a projected-gradient
-    step moves to the projected point whose objective the stepsize check
-    has just evaluated.
+    latter, at a point with exactly the same bits, takes f, the residual and
+    its Khatri-Rao products from it instead of building the residual again:
+    a projected-gradient step moves to the projected point whose objective
+    the stepsize check has just evaluated.  What is left of the gradient is
+    then the MTTKRPs, two matrix products with the residual from four modes
+    on.
     """
 
     def __init__(self, tensor: DenseTensor, fset: FeasibleSet, counters: EvalCounters | None = None):
@@ -66,7 +68,7 @@ class CpdProblem:
         self.tensor = tensor
         self.fset = fset
         self.counters = counters if counters is not None else EvalCounters()
-        # (flat point, f, residual, Khatri-Rao product) of the last objective;
+        # (flat point, f, residual, Khatri-Rao products) of the last objective;
         # emptied when read, so that it is used at most once
         self._kept = None
 
@@ -82,8 +84,8 @@ class CpdProblem:
         kept for :meth:`value_and_gradient` at the same point."""
         self._kept = None  # hold one tensor-size residual at a time
         self.counters.fevals += 1
-        value, res, kr = value_and_residual(point, self.tensor)
-        self._kept = (point.flat, _finite_value(value), res, kr)
+        value, res, products = value_and_residual(point, self.tensor)
+        self._kept = (point.flat, _finite_value(value), res, products)
         return value
 
     def gradient(self, point: CpdPoint) -> np.ndarray:
@@ -98,14 +100,14 @@ class CpdProblem:
         computed or counted."""
         kept, self._kept = self._kept, None
         if kept is not None and _same_bits(kept[0], point.flat):
-            _, value, res, kr = kept
+            _, value, res, products = kept
         else:
             kept = None  # free the kept residual before building a new one
             self.counters.fevals += 1
-            value, res, kr = value_and_residual(point, self.tensor)
+            value, res, products = value_and_residual(point, self.tensor)
             _finite_value(value)
         self.counters.gevals += 1
-        return value, _finite_gradient(gradient_from_residual(point, res, kr))
+        return value, _finite_gradient(gradient_from_residual(point, res, products))
 
     def gramian(self, point: CpdPoint) -> GramianOperator:
         return GramianOperator(point, self.counters)

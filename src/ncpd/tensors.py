@@ -32,8 +32,10 @@ __all__ = [
     "unfold",
     "unfold_values",
     "refold",
+    "value_and_residual",
     "residual_values",
     "objective_value",
+    "mttkrps",
     "ten_read",
     "ten_write",
 ]
@@ -331,31 +333,97 @@ def refold(matrix, dims, mode: int) -> DenseTensor:
     return DenseTensor.from_array(arr)
 
 
-def residual_values(point: CpdPoint, tensor: DenseTensor, kr: np.ndarray | None = None) -> np.ndarray:
-    """Flat residual (model minus data) in canonical flat order.
+def value_and_residual(point: CpdPoint, tensor: DenseTensor) -> tuple[float, np.ndarray, tuple[np.ndarray, ...]]:
+    """Half squared residual norm, the flat residual (model minus data) in
+    canonical flat order, and the Khatri-Rao products that built it: what
+    :func:`~ncpd.calculus.gradient_from_residual` needs besides the point.
 
-    ``kr`` is the Khatri-Rao product of the factors of modes ``N-1, ..., 1``
-    when the caller has it already.  The model's mode-0 unfolding is formed
-    by the matrix product of :func:`tensor_from_cpd`, written straight into
-    the flat result, from which the data is then subtracted in place, so the
-    values equal ``tensor_from_cpd(point).values - tensor.values`` bit for
-    bit.
+    The model is one matrix product written straight into the flat result,
+    from which the data is then subtracted in place.  For ``N <= 3`` it is
+    the mode-0 unfolding of :func:`tensor_from_cpd`, from the one product of
+    the factors of modes ``N-1, ..., 1``, so the residual equals
+    ``tensor_from_cpd(point).values - tensor.values`` bit for bit.  For
+    ``N >= 4`` the modes split into a left half ``0, ..., h-1`` and a right
+    half ``h, ..., N-1``, ``h = N // 2`` (a dimension tree of depth one),
+    and the model is the product of the two halves' Khatri-Rao products,
+    each in decreasing mode order; that sums the same terms in another
+    order.  Overflow is left to the caller's finiteness check, without a
+    warning.
     """
     if point.structure.dims != tensor.dims:
         raise ValueError(f"point dims {point.structure.dims} do not match tensor {tensor.dims}")
-    if kr is None:
-        kr = khatri_rao(point.factors[:0:-1])
+    factors = point.factors
+    n_modes = len(factors)
     res = np.empty(tensor.size)
-    # res.reshape(-1, I_0).T is the mode-0 unfolding of the flat result
-    np.matmul(point.factors[0], point.weights[:, None] * kr.T, out=res.reshape(-1, tensor.dims[0]).T)
-    np.subtract(res, tensor.values, out=res)
-    return res
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n_modes <= 3:
+            products = (khatri_rao(factors[:0:-1]),)
+            # res.reshape(-1, I_0).T is the mode-0 unfolding of the flat result
+            np.matmul(factors[0], point.weights[:, None] * products[0].T, out=res.reshape(-1, tensor.dims[0]).T)
+        else:
+            h = n_modes // 2
+            products = left, right = khatri_rao(factors[h - 1 :: -1]), khatri_rao(factors[: h - 1 : -1])
+            # the flat result as a C-order (right half x left half) matrix
+            np.matmul(right, (left * point.weights).T, out=res.reshape(right.shape[0], left.shape[0]))
+        np.subtract(res, tensor.values, out=res)
+        return 0.5 * float(res @ res), res, products
+
+
+def residual_values(point: CpdPoint, tensor: DenseTensor) -> np.ndarray:
+    """Flat residual (model minus data), as built by :func:`value_and_residual`."""
+    return value_and_residual(point, tensor)[1]
 
 
 def objective_value(point: CpdPoint, tensor: DenseTensor) -> float:
     """Half squared residual norm ``0.5 * ||model - data||^2``."""
-    res = residual_values(point, tensor)
-    return 0.5 * float(res @ res)
+    return value_and_residual(point, tensor)[0]
+
+
+def mttkrps(point: CpdPoint, res: np.ndarray, products: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """Per mode ``n``, the mode-``n`` unfolding of the flat residual ``res``
+    times the Khatri-Rao product of the other factors in decreasing mode
+    order (the MTTKRP), given the Khatri-Rao ``products`` that built ``res``
+    in :func:`value_and_residual`.
+
+    For ``N <= 3``, one pass over ``res`` per mode, on unfoldings of ``res``
+    itself, so modes ``0`` and ``N-1`` copy nothing.  For ``N >= 4``, two
+    passes: ``res`` as a (left half x right half) matrix times the right
+    half's product, and its transpose times the left half's; what is left
+    are contractions within each half.  No unfolding is copied.
+    """
+    factors = point.factors
+    dims = point.structure.dims
+    n_modes = len(dims)
+    if len(products) == 1:
+        out = []
+        for n in range(n_modes):
+            others = [factors[m] for m in range(n_modes - 1, -1, -1) if m != n]
+            out.append(unfold_values(res, dims, n) @ (products[0] if n == 0 else khatri_rao(others)))
+        return out
+    left, right = products
+    mat = res.reshape(left.shape[0], right.shape[0], order="F")
+    h = n_modes // 2
+    return _half_mttkrps(mat @ right, factors[:h]) + _half_mttkrps(mat.T @ left, factors[h:])
+
+
+def _half_mttkrps(partial: np.ndarray, factors: list[np.ndarray]) -> list[np.ndarray]:
+    """The MTTKRPs of one half's modes from the half's partial contraction
+    ``partial`` (rows indexed by the half's modes, its first mode fastest):
+    per mode, ``partial`` times the Khatri-Rao product of the half's other
+    factors, summed over their joint index in increasing order, first term
+    first.  The sum is an accumulate, whose order, unlike that of ``sum``,
+    does not depend on the shapes."""
+    k = len(factors)
+    rank = partial.shape[1]
+    dims = [a.shape[0] for a in factors]
+    arr = partial.reshape(dims[::-1] + [rank])  # axis k-1-n is mode n
+    out = []
+    for n in range(k):
+        rows = np.moveaxis(arr, k - 1 - n, -2).reshape(-1, dims[n], rank)
+        kr = khatri_rao([factors[m] for m in range(k - 1, -1, -1) if m != n])
+        terms = rows * kr[:, None, :]
+        out.append(np.add.accumulate(terms, axis=0, out=terms)[-1])
+    return out
 
 
 # --- plain-text tensor file format ------------------------------------------

@@ -351,3 +351,75 @@ def gradient_via_model(factors, weights, data):
             grad_weights = np.einsum("ir,ir->r", factors[0], mtt)
     parts.append(grad_weights)
     return np.concatenate(parts)
+
+
+# --- the dimension tree of four or more modes -------------------------------
+#
+# The modes split into a left half 0..h-1 and a right half h..N-1, h = N // 2.
+# The model is one matrix product of the halves' Khatri-Rao products, and
+# the gradient contracts the residual with each of them once, in the same
+# numpy calls on operands of the same memory layout as the package.  The
+# contractions within a half are plain loops over its entries, summed in
+# increasing order of the other modes' joint index, first term first.
+
+
+def tree_products(factors):
+    """Khatri-Rao products of the left and right halves, each in decreasing
+    mode order."""
+    n = len(factors)
+    h = n // 2
+    left = khatri_rao_pairwise([factors[m] for m in range(h - 1, -1, -1)])
+    right = khatri_rao_pairwise([factors[m] for m in range(n - 1, h - 1, -1)])
+    return left, right
+
+
+def residual_via_tree(factors, weights, data):
+    """The model as a C-order (right half x left half) matrix, flattened,
+    minus the data."""
+    left, right = tree_products(factors)
+    model = right @ (left * weights).T
+    return model.reshape(-1) - data
+
+
+def objective_via_tree(factors, weights, data):
+    res = residual_via_tree(factors, weights, data)
+    return 0.5 * float(res @ res)
+
+
+def half_mttkrp_loop(partial, half_factors, mode):
+    """MTTKRP of one mode of a half from the half's partial contraction
+    (rows indexed by the half's modes, first mode fastest)."""
+    dims = [a.shape[0] for a in half_factors]
+    rank = partial.shape[1]
+    others = [m for m in range(len(dims)) if m != mode]
+    out = np.empty((dims[mode], rank))
+    first = True
+    # the other modes' joint index, smallest mode fastest
+    for rest in itertools.product(*(range(dims[m]) for m in reversed(others))):
+        idx = dict(zip(reversed(others), rest))
+        coef = np.ones(rank)
+        for m in reversed(others):
+            coef = coef * half_factors[m][idx[m]]
+        for i in range(dims[mode]):
+            idx[mode] = i
+            term = partial[flat_index([idx[m] for m in range(len(dims))], dims)] * coef
+            out[i] = term if first else out[i] + term
+        first = False
+    return out
+
+
+def gradient_via_tree(factors, weights, data):
+    """Two matrix products with the residual matrix, then per-mode loops
+    within each half; joined like :func:`gradient_via_model`."""
+    dims = tuple(a.shape[0] for a in factors)
+    n = len(factors)
+    h = n // 2
+    left, right = tree_products(factors)
+    res = residual_via_tree(factors, weights, data).copy()
+    mat = res.reshape(left.shape[0], right.shape[0], order="F")
+    mtts = []
+    for partial, half in ((mat @ right, factors[:h]), (mat.T @ left, factors[h:])):
+        mtts.extend(half_mttkrp_loop(partial, half, mode) for mode in range(len(half)))
+    parts = [(mtt * weights[None, :]).flatten(order="F") for mtt in mtts]
+    parts.append(np.einsum("ir,ir->r", factors[0], mtts[0]))
+    return np.concatenate(parts)

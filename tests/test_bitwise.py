@@ -5,11 +5,13 @@ iteration counts and convergence slopes), so the fast paths of
 ``project``, ``ProjJacobianElement.apply``, ``GramianOperator.apply`` and
 ``JhatOperator.apply``/``apply_transpose`` must reproduce the per-block
 loops exactly, signed zeros included, and the flat residual core
-(``residual_values``, ``objective_value``, ``gradient`` and the fused
-``value_and_gradient``) must reproduce the evaluation through a dense model
-tensor and per-mode unfoldings of a copied residual.  A step to the point
-whose objective was evaluated last reuses that residual, and must return
-the bits of a step that builds it afresh.
+(``residual_values``, ``objective_value``, ``gradient`` and the pair
+``value_and_residual``/``gradient_from_residual``) must reproduce a
+reference evaluation: up to three modes, the one through a dense model
+tensor and per-mode unfoldings of a copied residual; from four modes on,
+the dimension tree's two matrix products and plain loops within each half.
+A step to the point whose objective was evaluated last reuses that
+residual, and must return the bits of a step that builds it afresh.
 """
 
 import math
@@ -20,10 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ncpd.calculus import EvalCounters, GramianOperator, gradient, value_and_gradient
+from ncpd.calculus import EvalCounters, GramianOperator, gradient, gradient_from_residual
 from ncpd.constraints import DegenerateBlockError, FeasibleSet, proj_jacobian, project
 from ncpd.forward_backward import CpdProblem, JhatOperator, fb_step
-from ncpd.tensors import CpdPoint, CpdStructure, DenseTensor, objective_value, residual_values
+from ncpd.tensors import CpdPoint, CpdStructure, DenseTensor, objective_value, residual_values, value_and_residual
 
 
 def bits(a):
@@ -174,17 +176,26 @@ def evaluations(draw):
     return point, DenseTensor(structure.dims, data)
 
 
+def reference(factors, weights, data):
+    """Residual, objective and gradient of the reference evaluation: per
+    mode up to three modes, the dimension tree from four."""
+    if len(factors) <= 3:
+        paths = oracles.residual_via_model, oracles.objective_via_model, oracles.gradient_via_model
+    else:
+        paths = oracles.residual_via_tree, oracles.objective_via_tree, oracles.gradient_via_tree
+    res, f, g = (path(factors, weights, data) for path in paths)
+    return res, np.float64(f), g
+
+
 def assert_evaluation_matches_model_path(point, tensor):
-    args = (point.factors, point.weights, tensor.values)
-    want_res = oracles.residual_via_model(*args)
-    want_f = np.float64(oracles.objective_via_model(*args))
-    want_g = oracles.gradient_via_model(*args)
+    want_res, want_f, want_g = reference(point.factors, point.weights, tensor.values)
     assert_bitwise(residual_values(point, tensor), want_res)
     assert_bitwise(np.float64(objective_value(point, tensor)), want_f)
     assert_bitwise(gradient(point, tensor), want_g)
-    value, grad = value_and_gradient(point, tensor)
+    value, res, products = value_and_residual(point, tensor)
     assert_bitwise(np.float64(value), want_f)
-    assert_bitwise(grad, want_g)
+    assert_bitwise(res, want_res)
+    assert_bitwise(gradient_from_residual(point, res, products), want_g)
 
 
 @given(evaluations())
@@ -213,9 +224,9 @@ def test_fb_step_counts_one_evaluation_of_the_model_path(case):
     state = fb_step(problem, point.flat, 0.1)
     assert (problem.counters.fevals, problem.counters.gevals) == (4, 6)
     factors, weights = oracles.split_flat(point.flat, structure.dims, structure.rank)
-    args = (factors, weights, tensor.values)
-    assert_bitwise(np.float64(state.fx), np.float64(oracles.objective_via_model(*args)))
-    assert_bitwise(state.grad, oracles.gradient_via_model(*args))
+    _, want_f, want_g = reference(factors, weights, tensor.values)
+    assert_bitwise(np.float64(state.fx), want_f)
+    assert_bitwise(state.grad, want_g)
 
 
 # --- the residual kept from the projected point's objective -------------------
@@ -247,7 +258,7 @@ def test_kept_residual_gives_the_bits_of_a_fresh_step(case):
         assert_bitwise(np.float64(got.fx), np.float64(state.fz))
     assert_bitwise(hit.grad, fresh.grad)
     factors, weights = oracles.split_flat(state.z.flat, point.structure.dims, point.structure.rank)
-    assert_bitwise(hit.grad, oracles.gradient_via_model(factors, weights, tensor.values))
+    assert_bitwise(hit.grad, reference(factors, weights, tensor.values)[2])
     # the kept residual was used up: the same point again builds its own
     again = fb_step(problem, state.z.flat, 0.1)
     assert counts(problem) == (fe + 1, ge + 2)
@@ -266,7 +277,7 @@ def test_kept_residual_misses_a_point_one_ulp_away(case, index, direction):
     step = fb_step(problem, x, 0.1)
     assert counts(problem) == (fe + 1, ge + 1)
     factors, weights = oracles.split_flat(x, point.structure.dims, point.structure.rank)
-    assert_bitwise(step.grad, oracles.gradient_via_model(factors, weights, tensor.values))
+    assert_bitwise(step.grad, reference(factors, weights, tensor.values)[2])
 
 
 def test_kept_residual_misses_a_zero_of_the_other_sign():

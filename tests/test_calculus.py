@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from helpers import random_feasible, strictly_positive_point, tiny_structure
@@ -15,6 +19,7 @@ from ncpd.calculus import (
 from ncpd.tensors import (
     CpdPoint,
     CpdStructure,
+    DenseTensor,
     objective_value,
     residual_values,
     tensor_from_cpd,
@@ -48,6 +53,39 @@ def test_gradient_matches_finite_differences(seed):
     want = oracles.fd_gradient(f, point.flat, h=1e-6)
     denom = max(1.0, float(np.linalg.norm(want)))
     assert np.linalg.norm(got - want) / denom <= 1e-6
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=4, max_size=6),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_tree_gradient_matches_per_mode_gradient_and_finite_differences(dims, rank, seed):
+    rng = np.random.default_rng(seed)
+    structure = CpdStructure(dims, rank)
+    point = CpdPoint.from_flat(structure, rng.standard_normal(structure.size))
+    data = rng.standard_normal(math.prod(dims))
+    got = gradient(point, DenseTensor(dims, data))
+    want = oracles.gradient_via_model(point.factors, point.weights, data)
+    # Round-off bound: the dimension tree and the per-mode path sum the same
+    # products in other orders, with at most k roundings on the way to any
+    # entry.  Each lies within gamma_k = k eps / (1 - k eps) of the exact
+    # gradient, relative to the gradient of the absolute values, whose own
+    # rounding the factor (1 + gamma_k) covers.
+    k = math.prod(dims) + rank + 2 * len(dims) + 2
+    gamma = k * np.finfo(float).eps / (1.0 - k * np.finfo(float).eps)
+    abs_grad = oracles.gradient_via_model(
+        [np.abs(a) for a in point.factors], np.abs(point.weights), -np.abs(data)
+    )
+    assert np.all(np.abs(got - want) <= 2.0 * gamma * (1.0 + gamma) * abs_grad)
+
+    def f(x):
+        factors, weights = oracles.split_flat(x, structure.dims, structure.rank)
+        return oracles.objective_via_model(factors, weights, data)
+
+    fd = oracles.fd_gradient(f, point.flat, h=1e-6)
+    assert np.linalg.norm(got - fd) / max(1.0, float(np.linalg.norm(fd))) <= 1e-6
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from ncpd.constraints import FeasibleSet, proj_jacobian, project
 from ncpd.experiments import InstanceSpec, gen_inexact_instance, random_feasible_point
 from ncpd.forward_backward import CpdProblem, fb_step, jhat_operator
 from ncpd.solver import SolverConfig, pgd_solve
-from ncpd.tensors import CpdStructure, objective_value, tensor_from_cpd
+from ncpd.tensors import CpdStructure, DenseTensor, objective_value, tensor_from_cpd
 
 
 def make_problem(seed=0, dims=(4, 3, 2), rank=2):
@@ -208,3 +211,21 @@ def test_jhat_differs_from_true_jacobian_by_residual_scale():
         gaps.append(np.linalg.norm(fd - dense) / max(resnorm, 1e-30))
     # normalized by the residual norm, the gap stays bounded as delta shrinks
     assert gaps[0] < 50.0 * max(gaps[1], 1e-6)
+
+
+def test_value_and_gradient_of_four_modes_copies_no_unfolding():
+    # the dimension tree holds the residual, two Khatri-Rao products of the
+    # halves and arrays of their size, but nothing else of the tensor's size
+    dims = (30, 30, 30, 30)
+    structure = CpdStructure(dims, 8)
+    rng = np.random.default_rng(4)
+    tensor = DenseTensor(dims, rng.uniform(0.0, 1.0, math.prod(dims)))
+    problem = CpdProblem(tensor, FeasibleSet(structure))
+    point = problem.point(rng.uniform(0.0, 1.0, structure.size))
+    tracemalloc.start()
+    try:
+        problem.value_and_gradient(point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * tensor.values.nbytes

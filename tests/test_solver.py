@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import random_feasible, strictly_positive_point
 from ncpd.constraints import FeasibleSet, project
 from ncpd.calculus import EvalCounters, explicit_jacobian
+from ncpd.experiments import InstanceSpec, gen_inexact_instance, random_feasible_point
 from ncpd.forward_backward import CpdProblem, fb_step
 from ncpd.solver import (
     NonFiniteError,
@@ -259,6 +262,23 @@ def test_nonfinite_tensor_raises_with_trace():
     with pytest.raises(NonFiniteError) as info:
         panoc_solve(bad, planted)
     assert info.value.trace is not None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [InstanceSpec(seed=1), InstanceSpec(dims=(30, 30, 30, 30), rank=8, seed=1)],
+    ids=["compare-seed1", "four-modes"],
+)
+def test_overflowing_objective_raises_without_a_warning(spec):
+    # the squared residual of data scaled by 1e50 overflows within the first
+    # iteration: the finite check raises, and numpy warns of nothing before
+    tensor = gen_inexact_instance(spec)
+    scaled = DenseTensor(tensor.dims, tensor.values * 1e50)
+    start = random_feasible_point(spec.structure, spec.seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            panoc_solve(scaled, start, SolverConfig(seed=spec.seed))
 
 
 def test_start_dims_must_match():
