@@ -13,7 +13,10 @@ how far.  Run it against each checkout with
 Groups:
 
 * ``quadratic``: the 50-run quadratic study, base seed 1 (traces with the
-  reference-error column);
+  reference-error column).  Below its hash line come acceptance test A1's
+  count of converged runs whose convergence slope reaches 1.5, the median
+  slope, and each converged run short of 1.5 with its last error next to
+  its slope floor of 100 eps ||x*||;
 * ``compare-gn`` / ``compare-pgd``: compare-study seeds 1-3, Gauss-Newton
   and projected gradient;
 * ``large-gn`` / ``large-pgd``: the (30,30,30,30) rank-8 inexact instance
@@ -36,8 +39,11 @@ import io  # noqa: E402
 import sys  # noqa: E402
 from dataclasses import replace  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 from ncpd.experiments import (  # noqa: E402
     InstanceSpec,
+    convergence_slope,
     gen_exact_instance,
     gen_inexact_instance,
     perturb_solution,
@@ -46,14 +52,37 @@ from ncpd.experiments import (  # noqa: E402
 from ncpd.solver import SolverConfig, panoc_solve, pgd_solve  # noqa: E402
 
 LARGE = InstanceSpec(dims=(30, 30, 30, 30), rank=8, seed=1)
+QUADRATIC_SEEDS = range(1, 51)
 
 
 def quadratic():
     """The solves of ``run_experiment_quadratic(runs=50, base_seed=1)``."""
-    for seed in range(1, 51):
+    for seed in QUADRATIC_SEEDS:
         tensor, planted = gen_exact_instance(replace(InstanceSpec(), seed=seed))
         start = perturb_solution(planted, seed)
         yield panoc_solve(tensor, start, SolverConfig(seed=seed), reference=planted)
+
+
+def slope_lines(results):
+    """A1's figures for the quadratic group, as the study computes them."""
+    steep, slopes, short = 0, [], []
+    for seed, result in zip(QUADRATIC_SEEDS, results):
+        if not result.converged:
+            continue
+        planted = gen_exact_instance(replace(InstanceSpec(), seed=seed))[1]
+        floor = 100.0 * np.finfo(np.float64).eps * planted.norm()
+        errors = [rec.err for rec in result.trace]
+        slope = convergence_slope(errors, floor)
+        if slope is not None:
+            slopes.append(slope)
+        if slope is not None and slope >= 1.5:
+            steep += 1
+        else:
+            shown = "none" if slope is None else format(slope, ".3f")
+            short.append(f"  seed {seed}: slope {shown}  last error {errors[-1]:.2e}  floor {floor:.2e}")
+    n_converged = sum(r.converged for r in results)
+    median = format(float(np.median(slopes)), ".4f") if slopes else "none"
+    return [f"quadratic  A1={steep}/{n_converged} converged runs with slope >= 1.5  median={median}"] + short
 
 
 def compare(solve):
@@ -119,6 +148,8 @@ def main(argv=None) -> int:
         line.append("gevals=" + ",".join(str(rec.gevals) for rec in finals))
         line.append("f=" + ",".join(format(r.f, ".17g") for r in results))
         print("  ".join(line), flush=True)
+        if name == "quadratic":
+            print("\n".join(slope_lines(results)), flush=True)
     return 0
 
 

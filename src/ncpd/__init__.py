@@ -1,8 +1,8 @@
 """Nonnegative canonical polyadic decomposition of dense tensors.
 
-A Gauss-Newton method on the forward-backward envelope with a projected
-gradient fallback, a matrix-free normal-equation solver, and a seeded
-experiment harness.  See the README for usage.
+A Gauss-Newton method on the forward-backward envelope, whose direction is
+one damped dense linear solve, with a projected gradient fallback and a
+seeded experiment harness.  See the README for usage.
 """
 
 from .calculus import (
@@ -13,7 +13,6 @@ from .calculus import (
     explicit_jacobian,
     gradient,
     kernel_basis,
-    numerical_rank,
 )
 from .checks import CheckResult, run_checks
 from .constraints import (
@@ -35,8 +34,7 @@ from .experiments import (
     run_experiment_compare,
     run_experiment_quadratic,
 )
-from .forward_backward import CpdProblem, StepState, fb_step, jhat_operator
-from .newton_cg import CgReport, cg_normal, solve_direction
+from .forward_backward import CpdProblem, StepState, fb_step, jhat_operator, solve_direction
 from .rng import substream
 from .solver import (
     IterationRecord,
@@ -58,18 +56,15 @@ from .tensors import (
     DenseTensor,
     khatri_rao,
     objective_value,
-    refold,
     residual_values,
     ten_read,
     ten_write,
     tensor_from_cpd,
-    unfold,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CgReport",
     "CheckResult",
     "CpdPoint",
     "CpdProblem",
@@ -89,7 +84,6 @@ __all__ = [
     "SolverTrace",
     "StepState",
     "cauchy_scale",
-    "cg_normal",
     "convergence_slope",
     "estimate_lipschitz",
     "explicit_jacobian",
@@ -106,7 +100,6 @@ __all__ = [
     "khatri_rao",
     "matched_distance",
     "matched_relative_error",
-    "numerical_rank",
     "objective_value",
     "panoc_solve",
     "perturb_solution",
@@ -114,7 +107,6 @@ __all__ = [
     "proj_jacobian",
     "project",
     "random_feasible_point",
-    "refold",
     "residual_values",
     "run_checks",
     "run_experiment_compare",
@@ -124,5 +116,4 @@ __all__ = [
     "ten_read",
     "ten_write",
     "tensor_from_cpd",
-    "unfold",
 ]

@@ -10,12 +10,11 @@ full pass over the residual per mode, N passes.  From four modes on they
 take two full passes, one per half of a dimension tree that splits the
 modes in two, and no unfolding is copied.
 
-The Gramian (Jacobian-transpose times Jacobian) is never formed densely in
-the solver: thanks to the Kronecker structure of the Jacobian its action on
-a vector only needs the R-by-R cross products of the factor matrices, so one
-apply costs a polynomial in the rank and the sum of mode sizes, independent
-of the tensor size.  Dense assembly is provided separately for diagnostics
-on small problems.
+The Gramian (Jacobian-transpose times Jacobian) never needs the Jacobian:
+thanks to the Kronecker structure of the Jacobian, its action on a vector
+and its dense matrix are both built from the R-by-R cross products of the
+factor matrices, at a cost independent of the tensor size.  The dense
+Jacobian itself is provided separately for diagnostics on small problems.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "explicit_jacobian",
     "KernelBasis",
     "kernel_basis",
-    "numerical_rank",
     "cauchy_scale",
 ]
 
@@ -111,7 +109,8 @@ class GramianOperator:
     plus O(N) elementwise passes over R-by-R arrays.  The operator is
     symmetric positive semidefinite with a null space of dimension at least
     N*R at generic points, spanned by the per-term rescaling directions
-    (see :func:`kernel_basis`).
+    (see :func:`kernel_basis`).  :meth:`dense` assembles and keeps its
+    matrix from the same caches.
     """
 
     def __init__(self, point: CpdPoint, counters: EvalCounters | None = None):
@@ -139,6 +138,7 @@ class GramianOperator:
         self._lw_except = lam_outer * w_except
         self._lw_pair = lam_outer * _hadamard(cross, rest)
         self._lam_w_except = lam[:, None] * w_except
+        self._dense = None
 
     @property
     def size(self) -> int:
@@ -176,6 +176,37 @@ class GramianOperator:
             out_w += term
         out[s.weight_slice] = out_w
         return out
+
+    def dense(self) -> np.ndarray:
+        """The Gramian as a dense matrix, assembled on the first call in
+        O(size^2) from the cached cross products and kept, read-only.
+        With ``W_n``, ``W_nm`` the Hadamard products of the cross products
+        of all modes but n (resp. n and m), the entry of factor entries
+        (n, r, i) and (m, s, j) is
+        ``λ_r λ_s W_nm[r, s] a_s^(n)[i] a_r^(m)[j]`` for n != m and
+        ``λ_r λ_s W_n[r, s] δ_ij`` for n = m; a factor entry (n, r, i) and a
+        weight s give ``λ_r W_n[r, s] a_s^(n)[i]``, and two weights the
+        Hadamard product of all cross products."""
+        if self._dense is not None:
+            return self._dense
+        s = self.point.structure
+        dims, rank, factors = s.dims, s.rank, self.point.factors
+        rows = [slice(s.mode_offset(n), s.mode_offset(n) + rank * d) for n, d in enumerate(dims)]
+        ws = s.weight_slice
+        g = np.empty((s.size, s.size))
+        for n, a_n in enumerate(factors):
+            g[rows[n], rows[n]] = np.kron(self._lw_except[n], np.eye(dims[n]))
+            for k, m in enumerate(self._others[n]):
+                if m > n:
+                    block = np.einsum("rs,is,jr->risj", self._lw_pair[n, k], a_n, factors[m])
+                    g[rows[n], rows[m]] = block.reshape(rank * dims[n], rank * dims[m])
+                    g[rows[m], rows[n]] = g[rows[n], rows[m]].T
+            g[rows[n], ws] = (self._lam_w_except[n][:, None, :] * a_n).reshape(-1, rank)
+            g[ws, rows[n]] = g[rows[n], ws].T
+        g[ws, ws] = self._w_all
+        g.setflags(write=False)
+        self._dense = g
+        return g
 
 
 def explicit_jacobian(point: CpdPoint, max_entries: int = 100_000) -> np.ndarray:
@@ -243,14 +274,6 @@ def kernel_basis(point: CpdPoint) -> KernelBasis:
             basis[s.factor_dim + r, col] = -point.weights[r]
             col += 1
     return KernelBasis(basis, degenerate)
-
-
-def numerical_rank(matrix, rel_tol: float = 1e-10) -> int:
-    """Number of singular values above ``rel_tol`` times the largest."""
-    svals = np.linalg.svd(np.asarray(matrix, dtype=np.float64), compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(svals > rel_tol * svals[0]))
 
 
 def cauchy_scale(

@@ -123,6 +123,22 @@ class ProjJacobianElement:
         np.multiply(self.weight_diag, v[ws], out=out[ws])
         return out
 
+    def apply_columns(self, mat: np.ndarray) -> np.ndarray:
+        """The element applied to every column of a C-contiguous ``(size,
+        k)`` matrix: per run of equal-size modes, one stacked matrix product
+        with the dense block ``(diag(clamp) - z z^T) / ||positive part||``
+        of each factor column.  That block equals :meth:`apply`'s, since
+        ``z`` vanishes wherever the clamp is not 1."""
+        out = np.empty_like(mat)
+        for sl, z, clamp, inv_norms in self._groups:
+            columns, dim = clamp.shape
+            blocks = clamp[:, :, None] * np.eye(dim) - z[:, :, None] * z[:, None, :]
+            blocks *= inv_norms[:, :, None]
+            np.matmul(blocks, mat[sl].reshape(columns, dim, -1), out=out[sl].reshape(columns, dim, -1))
+        ws = self.structure.weight_slice
+        np.multiply(self.weight_diag[:, None], mat[ws], out=out[ws])
+        return out
+
 
 def proj_jacobian(fset: FeasibleSet, w, convention: int = 0) -> ProjJacobianElement:
     """A generalized Jacobian element of :func:`project` at ``w``.

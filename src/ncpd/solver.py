@@ -7,8 +7,9 @@ One outer iteration works on a validated step state at the current point:
    objective sits below the envelope by the required margin.  The loop is
    free when nothing changed since the last acceptance.
 2. Termination on the scaled fixed-point residual.
-3. A Gauss-Newton direction from the surrogate normal equations (skipped in
-   projected-gradient mode or when the surrogate is unavailable).
+3. A Gauss-Newton direction from one damped dense solve of the surrogate
+   normal equations (skipped in projected-gradient mode or when the
+   surrogate is unavailable).
 4. Linesearch over the convex combination of the projected-gradient target
    and the Gauss-Newton trial point, halving ``tau`` on insufficient
    envelope decrease and falling back to the plain projected-gradient step
@@ -32,8 +33,7 @@ import numpy as np
 
 from .calculus import EvalCounters, cauchy_scale
 from .constraints import DegenerateBlockError, FeasibleSet, project
-from .forward_backward import CpdProblem, StepState, fb_step
-from .newton_cg import solve_direction
+from .forward_backward import CpdProblem, StepState, fb_step, solve_direction
 from .rng import STREAM_PROBE, substream
 from .tensors import CpdPoint, DenseTensor
 
@@ -79,9 +79,6 @@ class SolverConfig:
     lipschitz_fd_step: float = 1e-6
     cauchy_floor: bool = True
     cauchy_reciprocal: bool = True
-    cg_tol: float = 1e-10
-    cg_maxit: int | None = None
-    damping: float = 0.0
     jacobian_convention: int = 0
     box_bound: float | None = None
     feas_tol: float = 1e-10
@@ -102,12 +99,6 @@ class SolverConfig:
             raise ValueError(f"max_tau_halvings must be nonnegative, got {self.max_tau_halvings}")
         if not self.lipschitz_fd_step > 0.0:
             raise ValueError(f"lipschitz_fd_step must be positive, got {self.lipschitz_fd_step}")
-        if not self.cg_tol > 0.0:
-            raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
-        if self.cg_maxit is not None and self.cg_maxit < 1:
-            raise ValueError(f"cg_maxit must be at least 1, got {self.cg_maxit}")
-        if self.damping < 0.0:
-            raise ValueError(f"damping must be nonnegative, got {self.damping}")
         if self.jacobian_convention not in (0, 1):
             raise ValueError(f"jacobian_convention must be 0 or 1, got {self.jacobian_convention}")
         if self.box_bound is not None and not self.box_bound > 0.0:

@@ -29,9 +29,7 @@ __all__ = [
     "CpdPoint",
     "khatri_rao",
     "tensor_from_cpd",
-    "unfold",
     "unfold_values",
-    "refold",
     "value_and_residual",
     "residual_values",
     "objective_value",
@@ -301,36 +299,19 @@ def tensor_from_cpd(point: CpdPoint, dims=None) -> DenseTensor:
     return DenseTensor(structure.dims, mat.flatten(order="F"))
 
 
-def unfold(tensor: DenseTensor, mode: int) -> np.ndarray:
-    """Mode-``mode`` unfolding: rows indexed by the mode, remaining indices
-    enumerated with smaller modes varying fastest.
-
-    Satisfies ``unfold(tensor_from_cpd(x), n) == A_n @ diag(w) @ K.T`` where
-    ``K`` is the Khatri-Rao product of the other factor matrices in
-    decreasing mode order.
-    """
-    if not 0 <= mode < tensor.num_modes:
-        raise ValueError(f"mode {mode} out of range for {tensor.num_modes} modes")
-    return unfold_values(tensor.values, tensor.dims, mode)
-
-
 def unfold_values(values: np.ndarray, dims: tuple[int, ...], mode: int) -> np.ndarray:
-    """:func:`unfold` of the flat canonical-order ``values`` of a tensor of
-    shape ``dims``, unchecked.  A view of ``values`` when numpy can make
-    one, which it always can for modes 0 and N-1."""
+    """Mode-``mode`` unfolding of the flat canonical-order ``values`` of a
+    tensor of shape ``dims``, unchecked: rows indexed by the mode, remaining
+    indices enumerated with smaller modes varying fastest.  A view of
+    ``values`` when numpy can make one, which it always can for modes 0 and
+    N-1.
+
+    The unfolding of a model is ``A_n @ diag(w) @ K.T``, with ``K`` the
+    Khatri-Rao product of the other factor matrices in decreasing mode
+    order.
+    """
     arr = values.reshape(dims, order="F")
     return np.reshape(np.moveaxis(arr, mode, 0), (dims[mode], -1), order="F")
-
-
-def refold(matrix, dims, mode: int) -> DenseTensor:
-    """Inverse of :func:`unfold` for the given ``dims`` and ``mode``."""
-    dims = tuple(int(d) for d in dims)
-    if not 0 <= mode < len(dims):
-        raise ValueError(f"mode {mode} out of range for {len(dims)} modes")
-    matrix = np.asarray(matrix, dtype=np.float64)
-    moved = dims[mode : mode + 1] + dims[:mode] + dims[mode + 1 :]
-    arr = np.moveaxis(matrix.reshape(moved, order="F"), 0, mode)
-    return DenseTensor.from_array(arr)
 
 
 def value_and_residual(point: CpdPoint, tensor: DenseTensor) -> tuple[float, np.ndarray, tuple[np.ndarray, ...]]:

@@ -336,6 +336,21 @@ def unfold_values(values, dims, mode):
     return np.reshape(np.moveaxis(arr, mode, 0), (dims[mode], -1), order="F")
 
 
+def refold(matrix, dims, mode):
+    """Inverse of :func:`unfold_values`: the flat canonical-order values."""
+    moved = (dims[mode],) + tuple(dims[:mode]) + tuple(dims[mode + 1:])
+    arr = np.moveaxis(np.asarray(matrix).reshape(moved, order="F"), 0, mode)
+    return arr.flatten(order="F")
+
+
+def numerical_rank(matrix, rel_tol=1e-10):
+    """Number of singular values above ``rel_tol`` times the largest."""
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    if svals.size == 0 or svals[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(svals > rel_tol * svals[0]))
+
+
 def gradient_via_model(factors, weights, data):
     """Per-mode MTTKRP on unfoldings of a copied residual, then joined."""
     dims = tuple(a.shape[0] for a in factors)

@@ -135,19 +135,18 @@ def test_decompose_rejects_non_finite_tensor_file(tmp_path, capsys, value):
 
 
 def test_decompose_writes_partial_trace_on_non_finite_value(tmp_path, capsys):
-    # a finite tensor whose squared residual overflows: the solve raises
-    # after one trace row (compare-study seed 1, scaled by 1e50)
+    # a finite tensor whose squared residual overflows at the start point:
+    # the solve raises before its first trace row, and the trace file keeps
+    # the header (compare-study seed 1, scaled by 1e155)
     tensor = gen_inexact_instance(InstanceSpec(seed=1))
     path = tmp_path / "scaled.ten"
-    ten_write(path, DenseTensor(tensor.dims, tensor.values * 1e50))
+    ten_write(path, DenseTensor(tensor.dims, tensor.values * 1e155))
     out = tmp_path / "scaled"
-    with np.errstate(over="ignore"):
-        code = main(["decompose", str(path), "--seed", "1", "--out", str(out)])
+    code = main(["decompose", str(path), "--seed", "1", "--out", str(out)])
     assert code == 1
     assert "non-finite" in capsys.readouterr().err
     lines = (tmp_path / "scaled.trace.csv").read_text().splitlines()
-    assert lines[0].startswith("k,f,fbe,")
-    assert len(lines) == 2 and lines[1].startswith("0,")
+    assert len(lines) == 1 and lines[0].startswith("k,f,fbe,")
     assert not (tmp_path / "scaled.summary.json").exists()
 
 
@@ -188,6 +187,17 @@ def test_config_unknown_solver_key(tensor_file, tmp_path, capsys):
                  "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert code == 1
     assert "alpa" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["cg_tol", "cg_maxit", "damping"])
+def test_config_removed_cg_keys_are_unknown(key, tensor_file, tmp_path, capsys):
+    # the knobs of the old CG direction solve are rejected like any typo
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"solver": {key: 1}}))
+    code = main(["decompose", str(tensor_file), "--rank", "2",
+                 "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert f"unknown solver config keys: {key}" in capsys.readouterr().err
 
 
 def test_config_unknown_section(tensor_file, tmp_path, capsys):

@@ -1,139 +1,76 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncpd.forward_backward as fb
 from helpers import strictly_positive_point
+from ncpd.calculus import EvalCounters, GramianOperator, explicit_jacobian
 from ncpd.constraints import FeasibleSet
-from ncpd.calculus import EvalCounters
-from ncpd.forward_backward import CpdProblem, fb_step, jhat_operator
-from ncpd.newton_cg import cg_normal, solve_direction
-from ncpd.solver import SolverConfig
-from ncpd.tensors import CpdStructure, tensor_from_cpd
+from ncpd.forward_backward import CpdProblem, fb_step, jhat_operator, solve_direction
+from ncpd.solver import SolverConfig, panoc_solve
+from ncpd.tensors import CpdPoint, CpdStructure, tensor_from_cpd
 
 
-def spd_apply(mat):
-    return lambda v: mat @ v
-
-
-# --- plain CG ---------------------------------------------------------------
-
-
-def test_cg_identity_one_iteration():
-    rhs = np.array([1.0, -2.0, 3.0])
-    x, report = cg_normal(spd_apply(np.eye(3)), rhs, tol=1e-12, maxit=10)
-    assert np.allclose(x, rhs, atol=1e-14)
-    assert report.iterations == 1
-    assert report.converged and not report.breakdown
-
-
-def test_cg_diagonal_example():
-    mat = np.diag([1.0, 2.0, 4.0])
-    x, report = cg_normal(spd_apply(mat), np.ones(3), tol=1e-12, maxit=10)
-    assert np.allclose(x, [1.0, 0.5, 0.25], atol=1e-12)
-    assert report.converged
-
-
-def test_cg_zero_rhs():
-    x, report = cg_normal(spd_apply(np.eye(4)), np.zeros(4), tol=1e-12, maxit=10)
-    assert np.array_equal(x, np.zeros(4))
-    assert report.iterations == 0
-    assert report.converged
-
-
-def test_cg_respects_maxit():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((20, 20))
-    mat = a @ a.T + 20 * np.eye(20)
-    _, report = cg_normal(spd_apply(mat), rng.standard_normal(20), tol=1e-16, maxit=3)
-    assert report.iterations == 3
-    assert not report.converged
-
-
-def test_cg_breakdown_on_indefinite():
-    mat = np.diag([1.0, -1.0])
-    _, report = cg_normal(spd_apply(mat), np.array([0.0, 1.0]), tol=1e-12, maxit=10)
-    assert report.breakdown
-
-
-def test_cg_breakdown_on_nonfinite():
-    def bad(v):
-        return np.full_like(v, np.nan)
-
-    _, report = cg_normal(bad, np.ones(3), tol=1e-12, maxit=10)
-    assert report.breakdown
-
-
-def test_cg_reports_true_residual():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((10, 10))
-    mat = a @ a.T + 10 * np.eye(10)
-    rhs = rng.standard_normal(10)
-    x, report = cg_normal(spd_apply(mat), rhs, tol=1e-10, maxit=100)
-    rel = np.linalg.norm(mat @ x - rhs) / np.linalg.norm(rhs)
-    assert report.rel_residual == pytest.approx(rel, rel=1e-12)
-    assert rel <= 1e-10
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(2, 12))
-@settings(max_examples=40, deadline=None)
-def test_cg_error_decreases_with_more_iterations(seed, n):
-    # the A-norm of the CG error is nonincreasing in the iteration count
+def make_state(seed=0, gamma=1e-2, perturb=0.3, dims=(4, 3, 2), rank=2):
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n))
-    mat = a @ a.T + n * np.eye(n)
-    rhs = rng.standard_normal(n)
-    exact = np.linalg.solve(mat, rhs)
-
-    def a_norm_err(k):
-        x, _ = cg_normal(spd_apply(mat), rhs, tol=0.0, maxit=k)
-        e = x - exact
-        return float(e @ mat @ e)
-
-    errs = [a_norm_err(k) for k in range(1, n + 2)]
-    for prev, nxt in zip(errs, errs[1:]):
-        assert nxt <= prev * (1 + 1e-9) + 1e-12
-
-
-def test_cg_finishes_within_dimension_iterations():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((15, 15))
-    mat = a @ a.T + 15 * np.eye(15)
-    _, report = cg_normal(spd_apply(mat), rng.standard_normal(15), tol=1e-12, maxit=15 + 5)
-    assert report.converged
-
-
-# --- direction solve --------------------------------------------------------
-
-
-def make_state(seed=0, gamma=1e-2, perturb=0.3):
-    rng = np.random.default_rng(seed)
-    structure = CpdStructure((4, 3, 2), 2)
+    structure = CpdStructure(dims, rank)
     planted = strictly_positive_point(structure, rng)
     problem = CpdProblem(tensor_from_cpd(planted), FeasibleSet(structure), EvalCounters())
     x = planted.flat + perturb * np.abs(rng.standard_normal(structure.size))
     return problem, fb_step(problem, x, gamma), planted
 
 
-def test_forcing_tolerance_is_fixed():
-    # the reported relative residual meets cg_tol itself, far from the
-    # solution and three orders of magnitude closer alike
-    for perturb in (0.3, 1e-4):
-        _, state, _ = make_state(seed=0, perturb=perturb)
-        iterations = []
-        for cg_tol in (1e-3, 1e-9):
-            _, report = solve_direction(state, SolverConfig(cg_tol=cg_tol))
-            assert report.converged and not report.breakdown
-            assert report.rel_residual <= cg_tol
-            iterations.append(report.iterations)
-        assert iterations[0] < iterations[1]
+def columns(apply, size):
+    return np.column_stack([apply(e) for e in np.eye(size)])
+
+
+def damped_system(state, cfg=SolverConfig()):
+    """The damped direction system, assembled from operator applies."""
+    jac = columns(jhat_operator(state, cfg.jacobian_convention).apply, state.x.size)
+    mu = fb.DAMPING * state.rnorm / np.linalg.norm(state.x)
+    return jac, mu * np.einsum("ij,ij->j", jac, jac)
+
+
+# --- dense assembly ---------------------------------------------------------
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=2, max_size=5).map(tuple),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_dense_gramian_matches_jacobian_and_apply(dims, rank, seed):
+    rng = np.random.default_rng(seed)
+    point = CpdPoint([rng.uniform(0.0, 1.0, (d, rank)) for d in dims], rng.uniform(0.5, 2.0, rank))
+    op = GramianOperator(point)
+    dense = op.dense()
+    jac = explicit_jacobian(point)
+    tol = 1e-13 * max(1.0, float(np.abs(dense).max()))
+    assert np.allclose(dense, jac.T @ jac, rtol=0.0, atol=tol)
+    assert np.allclose(dense, columns(op.apply, op.size), rtol=0.0, atol=tol)
+    assert op.dense() is dense  # assembled once
+
+
+@pytest.mark.parametrize("dims,rank", [((4, 3, 2), 2), ((3, 3, 2, 2), 3), ((2, 5), 1)])
+def test_jhat_matrix_matches_apply(dims, rank):
+    _, state, _ = make_state(7, dims=dims, rank=rank)
+    for st_ in (state, state.with_gamma(state.gamma / 2)):
+        op = jhat_operator(st_)
+        assert np.allclose(op.matrix(), columns(op.apply, op.size), rtol=0.0, atol=1e-13)
+    # a stepsize halving at the same point reuses the dense Gramian
+    assert state.with_gamma(state.gamma / 2).gramian().dense() is state.gramian().dense()
+
+
+# --- direction solve --------------------------------------------------------
 
 
 def test_direction_zero_residual():
     # basis-vector columns have bitwise-exact unit norm, so the fixed point
     # is exact and the right-hand side is exactly zero
-    from ncpd.tensors import CpdPoint
-
     structure = CpdStructure((4, 3, 2), 2)
     factors = [np.eye(d)[:, :2].copy() for d in structure.dims]
     planted = CpdPoint(factors, np.array([2.0, 0.5]))
@@ -146,33 +83,46 @@ def test_direction_zero_residual():
 
 
 def test_direction_solves_normal_equations():
-    cfg = SolverConfig()
-    problem, state, _ = make_state(3)
-    d, report = solve_direction(state, cfg)
-    assert report.converged and not report.breakdown
-    op = jhat_operator(state, cfg.jacobian_convention)
-    rhs = -op.apply_transpose(state.r)
-    lhs = op.apply_transpose(op.apply(d))
-    assert np.linalg.norm(lhs - rhs) <= cfg.cg_tol * np.linalg.norm(rhs) * 5
+    _, state, _ = make_state(3)
+    d, report = solve_direction(state, SolverConfig())
+    assert report.converged and not report.breakdown and report.iterations == 1
+    assert report.rel_residual <= 1e-12
+    jac, damping = damped_system(state)
+    rhs = -jac.T @ state.r
+    lhs = jac.T @ (jac @ d) + damping * d
+    assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_direction_matches_dense_least_squares():
-    cfg = SolverConfig()
-    problem, state, _ = make_state(4)
-    d, report = solve_direction(state, cfg)
-    assert report.converged
-    op = jhat_operator(state, cfg.jacobian_convention)
-    n = op.size
-    dense = np.column_stack([op.apply(np.eye(n)[:, i]) for i in range(n)])
-    want, *_ = np.linalg.lstsq(dense, -state.r, rcond=None)
-    assert np.linalg.norm(d - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
+    for seed, perturb in [(4, 0.3), (4, 1e-4), (8, 0.1)]:
+        _, state, _ = make_state(seed, perturb=perturb)
+        d, report = solve_direction(state, SolverConfig())
+        assert report.converged
+        jac, damping = damped_system(state)
+        aug = np.vstack([jac, np.diag(np.sqrt(damping))])
+        want, *_ = np.linalg.lstsq(aug, np.concatenate([-state.r, np.zeros(state.x.size)]), rcond=None)
+        assert np.linalg.norm(d - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
 
 
-def test_direction_damping_shrinks_step():
-    problem, state, _ = make_state(5)
-    d0, _ = solve_direction(state, SolverConfig(damping=0.0))
-    d1, _ = solve_direction(state, SolverConfig(damping=100.0))
+def test_direction_damping_shrinks_step(monkeypatch):
+    _, state, _ = make_state(5)
+    d0, _ = solve_direction(state, SolverConfig())
+    monkeypatch.setattr(fb, "DAMPING", 1e4 * fb.DAMPING)
+    d1, _ = solve_direction(state, SolverConfig())
     assert np.linalg.norm(d1) < np.linalg.norm(d0)
+
+
+def test_direction_breakdown_on_nonfinite_system(monkeypatch):
+    # a non-finite system is reported, without a numpy warning, and the
+    # solver takes a projected-gradient step instead
+    monkeypatch.setattr(GramianOperator, "dense", lambda self: np.full((self.size, self.size), np.nan))
+    problem, state, _ = make_state(9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d, report = solve_direction(state, SolverConfig())
+        assert report.breakdown and not report.converged
+        result = panoc_solve(problem.tensor, problem.point(state.x), SolverConfig(max_iters=2))
+    assert [row.kind for row in result.trace] == ["pgd", "pgd", "term"]
 
 
 def test_residual_map_contracts_quadratically_near_solution():

@@ -48,9 +48,6 @@ def perturbed(planted, seed, scale=0.05):
         ("max_iters", 0),
         ("max_tau_halvings", -1),
         ("lipschitz_fd_step", 0.0),
-        ("cg_tol", 0.0),
-        ("cg_maxit", 0),
-        ("damping", -1.0),
         ("jacobian_convention", 2),
         ("box_bound", -1.0),
         ("max_gamma_halvings", 0),
@@ -270,15 +267,31 @@ def test_nonfinite_tensor_raises_with_trace():
     ids=["compare-seed1", "four-modes"],
 )
 def test_overflowing_objective_raises_without_a_warning(spec):
-    # the squared residual of data scaled by 1e50 overflows within the first
-    # iteration: the finite check raises, and numpy warns of nothing before
+    # the squared residual of data scaled by 1e155 overflows at the start
+    # point: the finite check raises, and numpy warns of nothing before
     tensor = gen_inexact_instance(spec)
-    scaled = DenseTensor(tensor.dims, tensor.values * 1e50)
+    scaled = DenseTensor(tensor.dims, tensor.values * 1e155)
     start = random_feasible_point(spec.structure, spec.seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError) as info:
             panoc_solve(scaled, start, SolverConfig(seed=spec.seed))
+    assert len(info.value.trace) == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="scale covariance is lost far below overflow (ROADMAP item 4)")
+def test_scaled_data_solves_like_unscaled_data():
+    # data scaled by 1e50 (squared residuals near 1e100, far from overflow)
+    # should give the unscaled solve's stop reason and f / scale^2; today
+    # the solve stops on stagnation after 3 iterations at f / scale^2 = 105
+    spec = InstanceSpec(seed=1)
+    tensor = gen_inexact_instance(spec)
+    start = random_feasible_point(spec.structure, spec.seed)
+    plain = panoc_solve(tensor, start, SolverConfig(seed=spec.seed))
+    scaled = panoc_solve(DenseTensor(tensor.dims, tensor.values * 1e50), start, SolverConfig(seed=spec.seed))
+    assert (scaled.reason, plain.reason) == ("tolerance", "tolerance")
+    assert scaled.f / 1e100 == pytest.approx(plain.f, rel=1e-6)
 
 
 def test_start_dims_must_match():
