@@ -9,7 +9,7 @@ import ncpd.forward_backward as fb
 from helpers import strictly_positive_point
 from ncpd.calculus import EvalCounters, GramianOperator, explicit_jacobian
 from ncpd.constraints import FeasibleSet
-from ncpd.forward_backward import CpdProblem, fb_step, jhat_operator, solve_direction
+from ncpd.forward_backward import CpdProblem, JhatOperator, fb_step, jhat_operator, solve_direction
 from ncpd.solver import SolverConfig, panoc_solve
 from ncpd.tensors import CpdPoint, CpdStructure, tensor_from_cpd
 
@@ -82,6 +82,17 @@ def test_direction_zero_residual():
     assert report.converged and report.iterations == 0
 
 
+def test_cg_zero_rhs(monkeypatch):
+    # a zero right-hand side -Jhat^T r at a nonzero residual (here a zero
+    # surrogate) gives d = 0 without a solve, and counts as converged
+    monkeypatch.setattr(JhatOperator, "matrix", lambda self: np.zeros((self.size, self.size)))
+    _, state, _ = make_state(2)
+    assert state.rnorm > 0.0
+    d, report = solve_direction(state, SolverConfig())
+    assert np.array_equal(d, np.zeros(state.x.size))
+    assert report.converged and not report.breakdown and report.iterations == 0
+
+
 def test_direction_solves_normal_equations():
     _, state, _ = make_state(3)
     d, report = solve_direction(state, SolverConfig())
@@ -91,6 +102,20 @@ def test_direction_solves_normal_equations():
     rhs = -jac.T @ state.r
     lhs = jac.T @ (jac @ d) + damping * d
     assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_cg_reports_true_residual(monkeypatch):
+    # the reported residual is that of the returned step in the damped
+    # system, not an assumed one: an inexact inner solve shows in it
+    _, state, _ = make_state(3)
+    exact_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: 0.9 * exact_solve(a, b))
+    d, report = solve_direction(state, SolverConfig())
+    jac, damping = damped_system(state)
+    rhs = -jac.T @ state.r
+    rel = np.linalg.norm(jac.T @ (jac @ d) + damping * d - rhs) / np.linalg.norm(rhs)
+    assert report.rel_residual == pytest.approx(rel, rel=1e-8)
+    assert report.rel_residual == pytest.approx(0.1, rel=1e-8)
 
 
 def test_direction_matches_dense_least_squares():
@@ -112,7 +137,7 @@ def test_direction_damping_shrinks_step(monkeypatch):
     assert np.linalg.norm(d1) < np.linalg.norm(d0)
 
 
-def test_direction_breakdown_on_nonfinite_system(monkeypatch):
+def test_cg_breakdown_on_nonfinite(monkeypatch):
     # a non-finite system is reported, without a numpy warning, and the
     # solver takes a projected-gradient step instead
     monkeypatch.setattr(GramianOperator, "dense", lambda self: np.full((self.size, self.size), np.nan))
@@ -121,6 +146,29 @@ def test_direction_breakdown_on_nonfinite_system(monkeypatch):
         warnings.simplefilter("error")
         d, report = solve_direction(state, SolverConfig())
         assert report.breakdown and not report.converged
+        result = panoc_solve(problem.tensor, problem.point(state.x), SolverConfig(max_iters=2))
+    assert [row.kind for row in result.trace] == ["pgd", "pgd", "term"]
+
+
+def test_cg_breakdown_on_indefinite(monkeypatch):
+    # a system matrix that is not positive definite (here singular: one
+    # column of the surrogate is zero, so the damped normal matrix has a
+    # zero row and column) is reported as a breakdown, not raised, without
+    # a numpy warning, and the solver takes projected-gradient steps
+    matrix = JhatOperator.matrix
+
+    def rank_deficient(self):
+        jac = matrix(self)
+        jac[:, 0] = 0.0
+        return jac
+
+    monkeypatch.setattr(JhatOperator, "matrix", rank_deficient)
+    problem, state, _ = make_state(9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d, report = solve_direction(state, SolverConfig())
+        assert report.breakdown and not report.converged
+        assert np.array_equal(d, np.zeros(state.x.size))
         result = panoc_solve(problem.tensor, problem.point(state.x), SolverConfig(max_iters=2))
     assert [row.kind for row in result.trace] == ["pgd", "pgd", "term"]
 
