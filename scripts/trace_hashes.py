@@ -10,6 +10,15 @@ byte for byte; where they differ by rounding, the counts and ``f`` show
 how far.  Run it against each checkout with
 ``PYTHONPATH=<checkout>/src python scripts/trace_hashes.py``.
 
+With ``--baseline FILE``, the saved output of another run (with the same
+groups and options), it also prints ``<group>  same`` or
+``<group>  differs`` after each group's lines and exits with status 1 if
+any group differs, so that a change meant to keep every bit is checked by
+one command::
+
+    PYTHONPATH=<parent>/src python scripts/trace_hashes.py > parent.txt
+    PYTHONPATH=src python scripts/trace_hashes.py --baseline parent.txt
+
 Groups:
 
 * ``quadratic``: the 50-run quadratic study, base seed 1 (traces with the
@@ -126,31 +135,62 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def group_lines(name: str, without: str | None) -> list[str]:
+    """The output lines of one group."""
+    results = list(GROUPS[name]())
+    csvs = [r.trace.to_csv_string() for r in results]
+    line = [name, f"traces={sha(''.join(csvs).encode())}"]
+    if without:
+        stripped = "".join(without_column(text, without) for text in csvs)
+        line.append(f"traces-without-{without}={sha(stripped.encode())}")
+    line.append(f"points={sha(b''.join(r.point.flat.tobytes() for r in results))}")
+    finals = [r.trace.records[-1] for r in results]
+    line.append("fevals=" + ",".join(str(rec.fevals) for rec in finals))
+    line.append("gevals=" + ",".join(str(rec.gevals) for rec in finals))
+    line.append("f=" + ",".join(format(r.f, ".17g") for r in results))
+    lines = ["  ".join(line)]
+    if name == "quadratic":
+        lines += slope_lines(results)
+    return lines
+
+
+def read_baseline(path) -> dict[str, list[str]]:
+    """A saved output's lines by group: a line starting with a group name
+    opens or continues that group, and an indented line continues the last
+    one.  Verdict lines of an output made with ``--baseline`` are skipped."""
+    groups, name = {}, None
+    with open(path, encoding="utf-8") as fh:
+        for line in fh.read().splitlines():
+            first = line.split(maxsplit=1)[0] if line.strip() else ""
+            if first in GROUPS:
+                name = first
+            if name is None or line in (f"{name}  same", f"{name}  differs"):
+                continue
+            groups.setdefault(name, []).append(line)
+    return groups
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("groups", nargs="*", metavar="GROUP",
                         help=f"groups to run, of {', '.join(GROUPS)} (default: all)")
     parser.add_argument("--without", metavar="COLUMN", help="also hash the traces with this column left out")
+    parser.add_argument("--baseline", metavar="FILE",
+                        help="a saved output to compare with: print same or differs per group, exit 1 on a difference")
     args = parser.parse_args(argv)
     unknown = set(args.groups) - set(GROUPS)
     if unknown:
         parser.error(f"unknown groups: {', '.join(sorted(unknown))}")
+    baseline = read_baseline(args.baseline) if args.baseline else None
+    status = 0
     for name in args.groups or GROUPS:
-        results = list(GROUPS[name]())
-        csvs = [r.trace.to_csv_string() for r in results]
-        line = [name, f"traces={sha(''.join(csvs).encode())}"]
-        if args.without:
-            stripped = "".join(without_column(text, args.without) for text in csvs)
-            line.append(f"traces-without-{args.without}={sha(stripped.encode())}")
-        line.append(f"points={sha(b''.join(r.point.flat.tobytes() for r in results))}")
-        finals = [r.trace.records[-1] for r in results]
-        line.append("fevals=" + ",".join(str(rec.fevals) for rec in finals))
-        line.append("gevals=" + ",".join(str(rec.gevals) for rec in finals))
-        line.append("f=" + ",".join(format(r.f, ".17g") for r in results))
-        print("  ".join(line), flush=True)
-        if name == "quadratic":
-            print("\n".join(slope_lines(results)), flush=True)
-    return 0
+        lines = group_lines(name, args.without)
+        if baseline is not None:
+            same = baseline.get(name) == lines
+            lines.append(f"{name}  {'same' if same else 'differs'}")
+            status = status or int(not same)
+        print("\n".join(lines), flush=True)
+    return status
 
 
 if __name__ == "__main__":

@@ -63,10 +63,16 @@ def gradient(point: CpdPoint, tensor: DenseTensor) -> np.ndarray:
 def gradient_from_residual(point: CpdPoint, res: np.ndarray, products: tuple[np.ndarray, ...]) -> np.ndarray:
     """The gradient from the flat residual ``res`` at ``point`` and the
     Khatri-Rao products that built it, as returned by
-    :func:`~ncpd.tensors.value_and_residual`."""
+    :func:`~ncpd.tensors.value_and_residual`.  The weighted MTTKRPs are
+    written straight into their blocks of the flat gradient."""
     mtts = mttkrps(point, res, products)
-    grad_weights = np.einsum("ir,ir->r", point.factors[0], mtts[0])
-    return point.structure.join([mtt * point.weights[None, :] for mtt in mtts], grad_weights)
+    grad = np.empty(point.structure.size)
+    stop = 0
+    for mtt in mtts:
+        start, stop = stop, stop + mtt.size
+        np.multiply(mtt, point.weights, out=grad[start:stop].reshape(mtt.shape, order="F"))
+    grad[stop:] = np.einsum("ir,ir->r", point.factors[0], mtts[0])
+    return grad
 
 
 @functools.cache

@@ -62,26 +62,55 @@ def project(fset: FeasibleSet, w) -> CpdPoint:
     Each factor column is clipped to the orthant and renormalized; weights
     are clipped to ``[0, M]``.  A factor column whose positive part vanishes
     has no unique nearest point on the sphere patch; the uniform unit vector
-    is returned for it and the result's ``degenerate`` flag is set.
+    is returned for it and the result's ``degenerate`` flag is set.  A
+    column whose squares overflow or underflow is normalized all the same
+    (:func:`_unit_rows`).
+
+    ``w`` is a flat vector or a point.  The projection is computed per run
+    of equal-size modes (:attr:`CpdStructure.mode_groups`) straight into
+    one flat vector, and returned as :meth:`CpdPoint.from_flat` of it, so
+    its factors are the row-major copies on which the solver evaluates.
     """
-    if isinstance(w, CpdPoint):
-        w = w.flat
-    factors_in, weights_in = fset.structure.split(w)
+    s = fset.structure
+    w = np.asarray(w.flat if isinstance(w, CpdPoint) else w, dtype=np.float64)
+    if w.shape != (s.size,):
+        raise ValueError(f"expected flat length {s.size}, got {w.shape}")
+    out = np.empty(s.size)
     degenerate = False
-    factors = []
-    for block in factors_in:
-        pos = np.maximum(block, 0.0)
-        norms = np.linalg.norm(pos, axis=0)
-        empty = norms == 0.0
-        out = np.divide(pos, norms, out=np.empty_like(pos), where=~empty)
+    for sl, _, dim in s.mode_groups:
+        block = out[sl].reshape(-1, dim)  # one row per factor column
+        empty = _unit_rows(np.maximum(w[sl].reshape(-1, dim), 0.0), block) == 0.0
         if empty.any():
             degenerate = True
-            out[:, empty] = 1.0 / np.sqrt(pos.shape[0])
-        factors.append(out)
-    weights = np.maximum(weights_in, 0.0)
+            block[empty] = 1.0 / np.sqrt(dim)
+    ws = s.weight_slice
+    np.maximum(w[ws], 0.0, out=out[ws])
     if fset.box_bound is not None:
-        weights = np.minimum(weights, fset.box_bound)
-    return CpdPoint(factors, weights, degenerate=degenerate)
+        np.minimum(out[ws], fset.box_bound, out=out[ws])
+    return CpdPoint.from_flat(s, out, degenerate)
+
+
+def _unit_rows(pos: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each row of the nonnegative matrix ``pos`` divided by its
+    Euclidean norm into ``out``, and return the norms; rows of norm 0 come
+    out NaN.  A norm is summed as ``np.linalg.norm`` sums a contiguous
+    column.  A row whose sum of squares overflows to ``inf``, or underflows
+    to 0 while an entry is positive, is divided by its largest entry first,
+    without a numpy warning, so that its direction and norm come out right;
+    every other row keeps those exact bits."""
+    with np.errstate(all="ignore"):
+        norms = np.sqrt(np.add.reduce(pos * pos, axis=1))
+        np.divide(pos, norms[:, None], out=out)
+        if np.minimum.reduce(norms) == 0.0 or np.maximum.reduce(norms) == np.inf:
+            lost = np.flatnonzero((norms == 0.0) | (norms == np.inf))
+            peak = pos[lost].max(axis=1)
+            finite = (peak > 0.0) & (peak < np.inf)
+            lost, peak = lost[finite], peak[finite, None]
+            scaled = pos[lost] / peak
+            scaled_norms = np.linalg.norm(scaled, axis=1)
+            out[lost] = scaled / scaled_norms[:, None]
+            norms[lost] = peak[:, 0] * scaled_norms
+    return norms
 
 
 class ProjJacobianElement:
@@ -157,8 +186,8 @@ def proj_jacobian(fset: FeasibleSet, w, convention: int = 0) -> ProjJacobianElem
     groups = []
     for sl, modes, dim in s.mode_groups:
         block = w[sl].reshape(-1, dim)  # one row per factor column
-        pos = np.maximum(block, 0.0)
-        norms = np.linalg.norm(pos, axis=1)
+        units = np.empty_like(block)
+        norms = _unit_rows(np.maximum(block, 0.0), units)
         empty = np.flatnonzero(norms == 0.0)
         if empty.size:
             mode, column = divmod(int(empty[0]), s.rank)
@@ -166,7 +195,7 @@ def proj_jacobian(fset: FeasibleSet, w, convention: int = 0) -> ProjJacobianElem
                 f"factor block (mode {modes.start + mode}, column {column}) has no positive part"
             )
         clamp = np.where(block > 0.0, 1.0, np.where(block < 0.0, 0.0, conv))
-        groups.append((sl, pos / norms[:, None], clamp, (1.0 / norms)[:, None]))
+        groups.append((sl, units, clamp, (1.0 / norms)[:, None]))
     weights_in = w[s.weight_slice]
     wd = np.where(weights_in > 0.0, 1.0, np.where(weights_in < 0.0, 0.0, conv))
     if fset.box_bound is not None:

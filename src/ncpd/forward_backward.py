@@ -68,7 +68,11 @@ class CpdProblem:
     a projected-gradient step moves to the projected point whose objective
     the stepsize check has just evaluated.  What is left of the gradient is
     then the MTTKRPs, two matrix products with the residual from four modes
-    on.
+    on.  The solver passes that projected point itself, so no bits need
+    comparing.  Points are evaluated as given: the solver's all come from
+    :meth:`CpdPoint.from_flat` (:meth:`point`, or
+    :func:`~ncpd.constraints.project`), whose row-major factors fix the
+    rounding.
     """
 
     def __init__(self, tensor: DenseTensor, fset: FeasibleSet, counters: EvalCounters | None = None):
@@ -132,9 +136,10 @@ def _finite_value(value: float) -> float:
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two float64 vectors are equal bit for bit, as their uint64
-    views would be (so ``-0.0`` and ``0.0`` differ).  Comparing the bytes
-    takes a tenth of the time of ``np.array_equal`` on the views."""
-    return a.tobytes() == b.tobytes()
+    views would be (so ``-0.0`` and ``0.0`` differ): at once when they are
+    the same array, else by their bytes, which takes a tenth of the time of
+    ``np.array_equal`` on the views."""
+    return a is b or a.tobytes() == b.tobytes()
 
 
 def _finite_gradient(g: np.ndarray) -> np.ndarray:
@@ -150,13 +155,19 @@ class StepState:
     projected point and the Gramian are evaluated lazily on first use and
     cached.  Use :meth:`with_gamma` to re-evaluate the same point at a
     different stepsize without repeating the gradient.
+
+    ``point`` is the iterate, ``x`` its flat vector, and ``z`` the point
+    that :func:`~ncpd.constraints.project` returns.  These points are
+    evaluated and handed on as they are, so a step copies none beyond its
+    projection.
     """
 
-    def __init__(self, problem: CpdProblem, x: np.ndarray, gamma: float, fx: float, grad: np.ndarray):
+    def __init__(self, problem: CpdProblem, point: CpdPoint, gamma: float, fx: float, grad: np.ndarray):
         if not gamma > 0:
             raise ValueError(f"stepsize must be positive, got {gamma}")
         self.problem = problem
-        self.x = x
+        self.point = point
+        self.x = x = point.flat
         self.gamma = gamma
         self.fx = fx
         self.grad = grad
@@ -175,40 +186,42 @@ class StepState:
 
     @property
     def fz(self) -> float:
-        """Objective at the projected point; one counted evaluation, cached.
-
-        Evaluated on the row-major copy that :func:`fb_step` makes of a
-        flat point, so that its kept residual is the one ``fb_step`` at
-        ``z.flat`` would build."""
+        """Objective at the projected point ``z``; one counted evaluation,
+        cached.  Its residual is kept, so that :func:`fb_step` at ``z``
+        reuses it."""
         if self._fz is None:
-            self._fz = self.problem.objective(self.problem.point(self.z.flat))
+            self._fz = self.problem.objective(self.z)
         return self._fz
 
     def gramian(self) -> GramianOperator:
         if self._gramian is None:
-            self._gramian = self.problem.gramian(self.problem.point(self.x))
+            self._gramian = self.problem.gramian(self.point)
         return self._gramian
 
     def with_gamma(self, gamma: float) -> "StepState":
-        state = StepState(self.problem, self.x, gamma, self.fx, self.grad)
+        state = StepState(self.problem, self.point, gamma, self.fx, self.grad)
         state._gramian = self._gramian  # same point, stepsize-independent
         return state
 
 
 def fb_step(problem: CpdProblem, x, gamma: float) -> StepState:
-    """Evaluate one forward-backward step at ``x``.
+    """Evaluate one forward-backward step at ``x``, a :class:`CpdPoint` or
+    a flat vector.
 
-    The objective and the gradient at ``x`` come from one residual
+    A point is used as it is, and becomes the state's ``point``; a flat
+    vector is copied once, by :meth:`CpdProblem.point`.  The objective and
+    the gradient at ``x`` come from one residual
     (:meth:`CpdProblem.value_and_gradient`) and count as one gradient
     evaluation, plus one objective evaluation when the residual is built
-    here.  It is not when ``x`` is the projected point whose
+    here.  It is not when ``x`` has the bits of the projected point whose
     :attr:`StepState.fz` was the problem's last objective evaluation, as on
-    a projected-gradient step: that residual is reused.  The objective at
-    the projected point is left to :attr:`StepState.fz`.
+    a projected-gradient step, which passes that point itself: that
+    residual is reused.  The objective at the projected point is left to
+    :attr:`StepState.fz`.
     """
-    x = np.asarray(x, dtype=np.float64)
-    fx, grad = problem.value_and_gradient(problem.point(x))
-    return StepState(problem, x, gamma, fx, grad)
+    point = x if isinstance(x, CpdPoint) else problem.point(x)
+    fx, grad = problem.value_and_gradient(point)
+    return StepState(problem, point, gamma, fx, grad)
 
 
 class JhatOperator:

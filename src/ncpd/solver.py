@@ -289,19 +289,34 @@ def panoc_solve(
     structure = x0.structure
     if structure.dims != tensor.dims:
         raise ValueError(f"start point dims {structure.dims} do not match tensor {tensor.dims}")
+    _check_finite_start(x0)
     fset = FeasibleSet(structure, cfg.box_bound, cfg.feas_tol)
     problem = CpdProblem(tensor, fset, EvalCounters())
     trace = SolverTrace(has_reference=reference is not None)
 
-    def error_at(x_flat):
-        if reference is None:
-            return None
-        return matched_distance(CpdPoint.from_flat(structure, x_flat), reference)
+    def error_at(point):
+        return None if reference is None else matched_distance(point, reference)
 
     try:
         return _panoc_loop(problem, project(fset, x0.flat), cfg, trace, error_at)
     except FloatingPointError as exc:
         raise NonFiniteError(str(exc), trace) from exc
+
+
+def _check_finite_start(x0: CpdPoint) -> None:
+    """Raise :class:`ValueError` naming the first non-finite entry of the
+    start point, before anything is evaluated at it."""
+    bad = np.flatnonzero(~np.isfinite(x0.flat))
+    if not bad.size:
+        return
+    s, i = x0.structure, int(bad[0])
+    if i >= s.factor_dim:
+        where = f"weight {i - s.factor_dim}"
+    else:
+        mode = max(n for n in range(s.num_modes) if s.mode_offset(n) <= i)
+        column, row = divmod(i - s.mode_offset(mode), s.dims[mode])
+        where = f"factor (mode {mode}, column {column}), row {row}"
+    raise ValueError(f"start point has a non-finite value {x0.flat[i]} at {where}")
 
 
 def pgd_solve(
@@ -326,7 +341,7 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace: SolverTrace,
         cfg.seed,
     )
     gamma = cfg.alpha / lip
-    state = fb_step(problem, start.flat, gamma)
+    state = fb_step(problem, start, gamma)
     k = 0
     gh_pending = 0
     gh_total = 0
@@ -343,7 +358,7 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace: SolverTrace,
             "fevals": counters.fevals,
             "gevals": counters.gevals,
             "gramian_applies": counters.gramian_applies,
-            "err": error_at(st.x),
+            "err": error_at(st.point),
         }
 
     def finish(st, base, reason):
@@ -391,7 +406,7 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace: SolverTrace,
             if tau > 0.0:
                 x_trial = (1.0 - tau) * state.z.flat + tau * (state.x + direction)
             else:
-                x_trial = state.z.flat
+                x_trial = state.z
                 kind = "pgd"
             cand = fb_step(problem, x_trial, gamma)
             if not gamma_condition(cand, cfg.alpha):
@@ -422,7 +437,7 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace: SolverTrace,
             gg = float(g @ g)
             if gg > 0.0:
                 eta = cauchy_scale(
-                    problem.point(cand.x),
+                    cand.point,
                     g,
                     reciprocal=cfg.cauchy_reciprocal,
                     op=cand.gramian(),

@@ -17,6 +17,7 @@ Jacobians agree entry for entry without ad-hoc transpositions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -280,10 +281,30 @@ def khatri_rao(matrices) -> np.ndarray:
     cols = mats[0].shape[1]
     if any(m.shape[1] != cols for m in mats):
         raise ValueError("all matrices must have the same number of columns")
+    return _khatri_rao(mats)
+
+
+def _khatri_rao(mats) -> np.ndarray:
+    """:func:`khatri_rao` of a nonempty sequence of float64 matrices with
+    equal column counts, unchecked, for the evaluation core."""
     out = mats[0]
     for m in mats[1:]:
-        out = (out[:, None, :] * m[None, :, :]).reshape(-1, cols)
+        out = (out[:, None, :] * m[None, :, :]).reshape(-1, out.shape[1])
     return out
+
+
+@functools.cache
+def _axis_order(ndim: int, source: int, destination: int) -> tuple[int, ...]:
+    """The axis order of ``np.moveaxis(a, source, destination)`` for an
+    ``a`` of ``ndim`` axes, checked once per argument triple, so that the
+    evaluation core pays for one ``a.transpose`` only."""
+    for axis in (source, destination):
+        if not -ndim <= axis < ndim:
+            raise np.exceptions.AxisError(axis, ndim)
+    source, destination = source % ndim, destination % ndim
+    order = [n for n in range(ndim) if n != source]
+    order.insert(destination, source)
+    return tuple(order)
 
 
 def tensor_from_cpd(point: CpdPoint, dims=None) -> DenseTensor:
@@ -310,8 +331,8 @@ def unfold_values(values: np.ndarray, dims: tuple[int, ...], mode: int) -> np.nd
     Khatri-Rao product of the other factor matrices in decreasing mode
     order.
     """
-    arr = values.reshape(dims, order="F")
-    return np.reshape(np.moveaxis(arr, mode, 0), (dims[mode], -1), order="F")
+    arr = values.reshape(dims, order="F").transpose(_axis_order(len(dims), mode, 0))
+    return np.reshape(arr, (dims[mode], -1), order="F")
 
 
 def value_and_residual(point: CpdPoint, tensor: DenseTensor) -> tuple[float, np.ndarray, tuple[np.ndarray, ...]]:
@@ -338,12 +359,12 @@ def value_and_residual(point: CpdPoint, tensor: DenseTensor) -> tuple[float, np.
     res = np.empty(tensor.size)
     with np.errstate(over="ignore", invalid="ignore"):
         if n_modes <= 3:
-            products = (khatri_rao(factors[:0:-1]),)
+            products = (_khatri_rao(factors[:0:-1]),)
             # res.reshape(-1, I_0).T is the mode-0 unfolding of the flat result
             np.matmul(factors[0], point.weights[:, None] * products[0].T, out=res.reshape(-1, tensor.dims[0]).T)
         else:
             h = n_modes // 2
-            products = left, right = khatri_rao(factors[h - 1 :: -1]), khatri_rao(factors[: h - 1 : -1])
+            products = left, right = _khatri_rao(factors[h - 1 :: -1]), _khatri_rao(factors[: h - 1 : -1])
             # the flat result as a C-order (right half x left half) matrix
             np.matmul(right, (left * point.weights).T, out=res.reshape(right.shape[0], left.shape[0]))
         np.subtract(res, tensor.values, out=res)
@@ -379,7 +400,7 @@ def mttkrps(point: CpdPoint, res: np.ndarray, products: tuple[np.ndarray, ...]) 
         out = []
         for n in range(n_modes):
             others = [factors[m] for m in range(n_modes - 1, -1, -1) if m != n]
-            out.append(unfold_values(res, dims, n) @ (products[0] if n == 0 else khatri_rao(others)))
+            out.append(unfold_values(res, dims, n) @ (products[0] if n == 0 else _khatri_rao(others)))
         return out
     left, right = products
     mat = res.reshape(left.shape[0], right.shape[0], order="F")
@@ -400,8 +421,8 @@ def _half_mttkrps(partial: np.ndarray, factors: list[np.ndarray]) -> list[np.nda
     arr = partial.reshape(dims[::-1] + [rank])  # axis k-1-n is mode n
     out = []
     for n in range(k):
-        rows = np.moveaxis(arr, k - 1 - n, -2).reshape(-1, dims[n], rank)
-        kr = khatri_rao([factors[m] for m in range(k - 1, -1, -1) if m != n])
+        rows = arr.transpose(_axis_order(k + 1, k - 1 - n, -2)).reshape(-1, dims[n], rank)
+        kr = _khatri_rao([factors[m] for m in range(k - 1, -1, -1) if m != n])
         terms = rows * kr[:, None, :]
         out.append(np.add.accumulate(terms, axis=0, out=terms)[-1])
     return out

@@ -90,14 +90,45 @@ def references(structure, box, convention, w, point):
     return pj, gram
 
 
-@given(cases())
-@settings(max_examples=300, deadline=None)
-def test_project_matches_column_loop_bitwise(case):
-    structure, box, _, w, _, _, _ = case
+@st.composite
+def projection_cases(draw):
+    """The projection inputs of :func:`cases`, or mode sizes in runs of
+    equal-size modes (several runs of up to three modes), with a box bound
+    or none and about a fifth of the factor columns without a positive
+    part, so degenerate."""
+    if draw(st.booleans()):
+        structure, box, _, w, _, _, _ = draw(cases())
+        return structure, box, w
+    runs = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3)), min_size=2, max_size=3))
+    structure = CpdStructure(tuple(size for size, count in runs for _ in range(count)), draw(st.integers(1, 4)))
+    box = draw(st.sampled_from([None, 0.5, 2.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = sprinkle_zeros(rng, rng.standard_normal(structure.size) + 0.3, 0.15)
+    for mode in range(structure.num_modes):
+        for column in range(structure.rank):
+            if rng.random() < 0.2:
+                block = structure.block_slice(mode, column)
+                w[block] = -np.abs(w[block])  # signed zeros become -0.0
+    if box is not None:
+        w[structure.factor_dim :][rng.random(structure.rank) < 0.3] = box
+    return structure, box, w
+
+
+def assert_projection_matches_column_loop(structure, box, w):
     got = project(FeasibleSet(structure, box), w)
     want, degenerate = oracles.project_loop(w, structure.dims, structure.rank, box)
     assert_bitwise(got.flat, want)
     assert got.degenerate == degenerate
+    # the factors are row-major copies of the same bits, as the solver
+    # evaluates them
+    assert all(a.flags.c_contiguous for a in got.factors)
+    assert_bitwise(structure.join(got.factors, got.weights), want)
+
+
+@given(projection_cases())
+@settings(max_examples=300, deadline=None)
+def test_project_matches_column_loop_bitwise(case):
+    assert_projection_matches_column_loop(*case)
 
 
 @given(cases())
@@ -158,7 +189,7 @@ def test_operators_match_loops_bitwise_at_solver_sizes(dims, rank):
     assert_bitwise(op.proj_el.apply(v), pj(v))
     assert_bitwise(op.apply(v), oracles.jhat_apply_loop(pj, gram, gamma, v))
     assert_bitwise(op.apply_transpose(v), oracles.jhat_apply_transpose_loop(pj, gram, gamma, v))
-    assert_bitwise(project(FeasibleSet(structure), w).flat, oracles.project_loop(w, dims, rank)[0])
+    assert_projection_matches_column_loop(structure, None, w)
 
 
 # --- the flat residual core ---------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,58 @@ def test_project_accepts_point(rng):
     s = fset()
     point = project(s, rng.uniform(size=s.structure.size))
     assert np.allclose(project(s, point).flat, point.flat, atol=1e-15)
+
+
+# factor column (mode 0, column 1) of a (4, 3, 2) rank-2 point
+EXTREME_COLUMN = slice(4, 8)
+
+
+def with_column(values, seed=0):
+    s = fset()
+    w = np.random.default_rng(seed).uniform(0.1, 1.0, s.structure.size)
+    w[EXTREME_COLUMN] = values
+    return s, w
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300, 1.5e308])
+def test_project_huge_column_is_unit_without_a_warning(scale):
+    # the squares overflow: the column is rescaled by its largest entry
+    s, w = with_column(scale * np.array([1.0, 0.5, 0.0, 0.25]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = project(s, w)
+    column = z.flat[EXTREME_COLUMN]
+    assert np.linalg.norm(column) == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(column, np.array([1.0, 0.5, 0.0, 0.25]) / np.sqrt(1.3125), rtol=4e-16, atol=0.0)
+    assert not z.degenerate
+    assert is_feasible(s, z)
+
+
+def test_project_tiny_column_keeps_its_direction():
+    # the squares underflow to 0 though entries are positive: the column is
+    # not degenerate, and 3:4 at a power-of-two scale gives 0.6:0.8 exactly
+    tiny = 2.0**-665  # about 1.3e-200
+    s, w = with_column([3.0 * tiny, 0.0, 4.0 * tiny, -tiny])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = project(s, w)
+    assert not z.degenerate
+    assert np.array_equal(z.flat[EXTREME_COLUMN], [0.6, 0.0, 0.8, 0.0])
+    # every other column keeps the bits of the column loop
+    assert np.array_equal(z.flat[8:], oracles.project_loop(w, (4, 3, 2), 2)[0][8:])
+
+
+def test_proj_jacobian_of_tiny_column_is_the_scaled_sphere_block():
+    tiny = 2.0**-665
+    s, w = with_column([3.0 * tiny, 0.0, 4.0 * tiny, -tiny])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        el = proj_jacobian(s, w)  # no DegenerateBlockError
+    v = np.zeros(s.structure.size)
+    v[EXTREME_COLUMN] = [0.8, 1.0, -0.6, 1.0]  # tangent at (0.6, 0, 0.8, 0)
+    got = el.apply(v)[EXTREME_COLUMN]
+    # (diag(clamp) - z z^T) v / ||pos||, with clamp (1, 0, 1, 0)
+    assert np.allclose(got, np.array([0.8, 0.0, -0.6, 0.0]) / (5.0 * tiny), rtol=1e-15, atol=0.0)
 
 
 # --- feasibility report -----------------------------------------------------

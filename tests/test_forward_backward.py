@@ -10,7 +10,7 @@ from ncpd.constraints import FeasibleSet, proj_jacobian, project
 from ncpd.experiments import InstanceSpec, gen_inexact_instance, random_feasible_point
 from ncpd.forward_backward import CpdProblem, fb_step, jhat_operator
 from ncpd.solver import SolverConfig, pgd_solve
-from ncpd.tensors import CpdStructure, DenseTensor, objective_value, tensor_from_cpd
+from ncpd.tensors import CpdPoint, CpdStructure, DenseTensor, objective_value, tensor_from_cpd
 
 
 def make_problem(seed=0, dims=(4, 3, 2), rank=2):
@@ -95,6 +95,50 @@ def test_pgd_step_builds_one_residual(cauchy_floor):
     for a, b in steps:
         assert b.fevals - a.fevals <= 2 + 2 * b.gamma_halvings
         assert b.gevals - a.gevals <= 1 + b.gamma_halvings
+
+
+def test_step_to_the_projected_point_takes_that_point_and_its_residual():
+    problem, _, rng = make_problem(7)
+    state = fb_step(problem, random_feasible(problem.structure, rng).flat, 1e-2)
+    state.fz
+    fe, ge = problem.counters.fevals, problem.counters.gevals
+    step = fb_step(problem, state.z, 1e-2)
+    assert step.point is state.z and step.x is state.z.flat
+    assert (problem.counters.fevals, problem.counters.gevals) == (fe, ge + 1)
+    fresh = fb_step(CpdProblem(problem.tensor, problem.fset), np.array(state.z.flat), 1e-2)
+    for got, want in ((step.fx, fresh.fx), (step.grad, fresh.grad), (step.z.flat, fresh.z.flat)):
+        assert np.array_equal(np.float64(got).view(np.uint64), np.float64(want).view(np.uint64))
+
+
+def test_pgd_solve_builds_one_point_per_projection(monkeypatch):
+    # every flat vector becomes one CpdPoint, built by the projection that
+    # makes it; beyond those, only the Lipschitz probe's two points are built
+    spec = InstanceSpec(dims=(6, 5, 4), rank=3, seed=11)
+    tensor = gen_inexact_instance(spec)
+    start = random_feasible_point(spec.structure, 11)
+    built = {"points": 0, "projections": 0}
+    from_flat, init = CpdPoint.from_flat.__func__, CpdPoint.__init__
+
+    def counted_from_flat(cls, *args, **kwargs):
+        built["points"] += 1
+        return from_flat(cls, *args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        built["points"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_project(*args):
+        built["projections"] += 1
+        return project(*args)
+
+    monkeypatch.setattr(CpdPoint, "from_flat", classmethod(counted_from_flat))
+    monkeypatch.setattr(CpdPoint, "__init__", counted_init)
+    for module in ("ncpd.solver", "ncpd.forward_backward"):
+        monkeypatch.setattr(f"{module}.project", counted_project)
+    result = pgd_solve(tensor, start, SolverConfig(max_iters=50))
+    assert result.iterations == 50
+    assert built["projections"] >= 51
+    assert built["points"] <= built["projections"] + 2
 
 
 def test_with_gamma_reuses_point_evaluations():

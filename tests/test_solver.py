@@ -302,6 +302,34 @@ def test_start_dims_must_match():
         panoc_solve(tensor, random_feasible(other, rng))
 
 
+@pytest.mark.parametrize("solve", [panoc_solve, pgd_solve])
+@pytest.mark.parametrize(
+    "index,value,where",
+    [
+        (5 * 1 + 3, np.nan, r"factor \(mode 0, column 1\), row 3"),
+        (10 + 4 * 1 + 0, np.inf, r"factor \(mode 1, column 1\), row 0"),
+        (10 + 8 + 3 * 1 + 2, -np.inf, r"factor \(mode 2, column 1\), row 2"),
+        (24 + 1, np.nan, r"weight 1"),
+    ],
+)
+def test_non_finite_start_is_rejected_before_any_evaluation(solve, index, value, where, monkeypatch):
+    # (5, 4, 3) rank 2: mode 0 at 0..9, mode 1 at 10..17, mode 2 at 18..23,
+    # weights at 24, 25
+    structure, tensor, planted = small_exact(21)
+    x = np.array(planted.flat)
+    x[-1] = np.nan  # a later non-finite entry is not the one named
+    x[index] = value
+    start = CpdPoint.from_flat(structure, x)
+
+    def evaluated(*args):
+        raise AssertionError("evaluated a non-finite start point")
+
+    for module in ("ncpd.calculus", "ncpd.forward_backward"):
+        monkeypatch.setattr(f"{module}.value_and_residual", evaluated)
+    with pytest.raises(ValueError, match=f"start point has a non-finite value .* at {where}$"):
+        solve(tensor, start)
+
+
 def test_deterministic_trace():
     structure, tensor, planted = small_exact(20)
     start = perturbed(planted, 10)
