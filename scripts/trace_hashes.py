@@ -2,19 +2,23 @@
 """SHA-256 fingerprints of the solver's traces and final points.
 
 Runs fixed solves and prints, per group, the SHA-256 of the concatenated
-trace CSVs, the same with one column left out (``--without``), the SHA-256
-of the concatenated final points (flat float64 bytes), and the final
-``fevals``, ``gevals`` and objective ``f`` (17 significant digits) of every
-run.  Two checkouts whose hashes agree produce the same traces and points
-byte for byte; where they differ by rounding, the counts and ``f`` show
-how far.  Run it against each checkout with
+trace CSVs, the same with one column left out (``--without``), the same
+with only the columns that count steps and work kept (``steps=``: ``k``,
+``gh``, ``th``, ``kind``, ``fevals``, ``gevals`` and ``gapplies``), the
+SHA-256 of the concatenated final points (flat float64 bytes), and the
+final ``fevals``, ``gevals`` and objective ``f`` (17 significant digits) of
+every run.  Two checkouts whose hashes agree produce the same traces and
+points byte for byte; where they differ by rounding alone, the ``steps=``
+hashes agree and ``f`` shows how far.  Run it against each checkout with
 ``PYTHONPATH=<checkout>/src python scripts/trace_hashes.py``.
 
 With ``--baseline FILE``, the saved output of another run (with the same
-groups and options), it also prints ``<group>  same`` or
-``<group>  differs`` after each group's lines and exits with status 1 if
-any group differs, so that a change meant to keep every bit is checked by
-one command::
+groups and options), it also prints a verdict after each group's lines:
+``<group>  same``; ``<group>  rounding  max |Δf|/f <x>`` when the
+``traces=`` hashes differ but the ``steps=`` hashes agree, with the largest
+relative change of a run's final ``f``; or ``<group>  differs``.  It exits
+with status 1 on any difference, so that a change meant to keep every bit
+is checked by one command::
 
     PYTHONPATH=<parent>/src python scripts/trace_hashes.py > parent.txt
     PYTHONPATH=src python scripts/trace_hashes.py --baseline parent.txt
@@ -61,6 +65,7 @@ from ncpd.experiments import (  # noqa: E402
 from ncpd.solver import SolverConfig, panoc_solve, pgd_solve  # noqa: E402
 
 LARGE = InstanceSpec(dims=(30, 30, 30, 30), rank=8, seed=1)
+STEP_COLUMNS = ("k", "gh", "th", "kind", "fevals", "gevals", "gapplies")
 QUADRATIC_SEEDS = range(1, 51)
 
 
@@ -121,14 +126,20 @@ GROUPS = {
 }
 
 
-def without_column(text: str, column: str) -> str:
+def select_columns(text: str, keep) -> str:
+    """The trace CSV ``text`` with the columns whose names ``keep`` accepts."""
     rows = list(csv.reader(io.StringIO(text)))
-    if column not in rows[0]:
-        raise SystemExit(f"no trace column {column!r}; columns are {','.join(rows[0])}")
-    drop = rows[0].index(column)
+    kept = [i for i, name in enumerate(rows[0]) if keep(name)]
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(row[:drop] + row[drop + 1:] for row in rows)
+    csv.writer(buf, lineterminator="\n").writerows([row[i] for i in kept] for row in rows)
     return buf.getvalue()
+
+
+def without_column(text: str, column: str) -> str:
+    header = text.split("\n", 1)[0].split(",")
+    if column not in header:
+        raise SystemExit(f"no trace column {column!r}; columns are {','.join(header)}")
+    return select_columns(text, lambda name: name != column)
 
 
 def sha(data: bytes) -> str:
@@ -143,6 +154,8 @@ def group_lines(name: str, without: str | None) -> list[str]:
     if without:
         stripped = "".join(without_column(text, without) for text in csvs)
         line.append(f"traces-without-{without}={sha(stripped.encode())}")
+    steps = "".join(select_columns(text, STEP_COLUMNS.__contains__) for text in csvs)
+    line.append(f"steps={sha(steps.encode())}")
     line.append(f"points={sha(b''.join(r.point.flat.tobytes() for r in results))}")
     finals = [r.trace.records[-1] for r in results]
     line.append("fevals=" + ",".join(str(rec.fevals) for rec in finals))
@@ -164,10 +177,29 @@ def read_baseline(path) -> dict[str, list[str]]:
             first = line.split(maxsplit=1)[0] if line.strip() else ""
             if first in GROUPS:
                 name = first
-            if name is None or line in (f"{name}  same", f"{name}  differs"):
+            if name is None or line.startswith((f"{name}  same", f"{name}  rounding", f"{name}  differs")):
                 continue
             groups.setdefault(name, []).append(line)
     return groups
+
+
+def fields(line: str) -> dict[str, str]:
+    """The ``key=value`` fields of a group's first line."""
+    return dict(item.split("=", 1) for item in line.split("  ") if "=" in item)
+
+
+def compare(lines: list[str], baseline: list[str] | None) -> str:
+    """The verdict on a group's lines against the baseline's."""
+    if baseline == lines:
+        return "same"
+    if baseline is None:
+        return "differs"
+    ours, theirs = fields(lines[0]), fields(baseline[0])
+    if ours["traces"] == theirs.get("traces") or ours["steps"] != theirs.get("steps"):
+        return "differs"
+    f, f_base = (np.array(d["f"].split(","), dtype=float) for d in (ours, theirs))
+    change = np.abs(f - f_base) / np.maximum(np.abs(f_base), np.finfo(float).tiny)
+    return f"rounding  max |Δf|/f {float(change.max()):.1e}"
 
 
 def main(argv=None) -> int:
@@ -176,7 +208,8 @@ def main(argv=None) -> int:
                         help=f"groups to run, of {', '.join(GROUPS)} (default: all)")
     parser.add_argument("--without", metavar="COLUMN", help="also hash the traces with this column left out")
     parser.add_argument("--baseline", metavar="FILE",
-                        help="a saved output to compare with: print same or differs per group, exit 1 on a difference")
+                        help="a saved output to compare with: print same, rounding or differs per group, "
+                             "exit 1 on a difference")
     args = parser.parse_args(argv)
     unknown = set(args.groups) - set(GROUPS)
     if unknown:
@@ -186,9 +219,9 @@ def main(argv=None) -> int:
     for name in args.groups or GROUPS:
         lines = group_lines(name, args.without)
         if baseline is not None:
-            same = baseline.get(name) == lines
-            lines.append(f"{name}  {'same' if same else 'differs'}")
-            status = status or int(not same)
+            verdict = compare(lines, baseline.get(name))
+            lines.append(f"{name}  {verdict}")
+            status = status or int(verdict != "same")
         print("\n".join(lines), flush=True)
     return status
 

@@ -6,9 +6,10 @@ the canonical flat layout of :mod:`ncpd.tensors`.
 
 A gradient is the residual's MTTKRPs (matricized tensor times Khatri-Rao
 products), one per mode.  For tensors of up to three modes they take one
-full pass over the residual per mode, N passes.  From four modes on they
-take two full passes, one per half of a dimension tree that splits the
-modes in two, and no unfolding is copied.
+full pass over the residual per mode, N passes.  From four modes on, the
+objective and both halves of a dimension tree that splits the modes in two
+come from one cache-blocked pass over the data, and the residual is never
+built whole.
 
 The Gramian (Jacobian-transpose times Jacobian) never needs the Jacobian:
 thanks to the Kronecker structure of the Jacobian, its action on a vector
@@ -52,20 +53,18 @@ def gradient(point: CpdPoint, tensor: DenseTensor) -> np.ndarray:
     """Gradient of the half squared residual norm, as a flat vector.
 
     The residual's MTTKRPs (:func:`~ncpd.tensors.mttkrps`) scaled by the
-    weights, and the weights' part from mode 0's.  That is two full passes
-    over the residual for ``N >= 4`` and N passes for ``N <= 3``, each of
-    cost O(R prod(dims)).
+    weights, and the weights' part from mode 0's.  That is one pass over
+    the data for ``N >= 4`` and N passes over the residual for ``N <= 3``,
+    each of cost O(R prod(dims)).
     """
-    _, res, products = value_and_residual(point, tensor)
-    return gradient_from_residual(point, res, products)
+    return gradient_from_residual(point, value_and_residual(point, tensor)[1])
 
 
-def gradient_from_residual(point: CpdPoint, res: np.ndarray, products: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The gradient from the flat residual ``res`` at ``point`` and the
-    Khatri-Rao products that built it, as returned by
-    :func:`~ncpd.tensors.value_and_residual`.  The weighted MTTKRPs are
-    written straight into their blocks of the flat gradient."""
-    mtts = mttkrps(point, res, products)
+def gradient_from_residual(point: CpdPoint, parts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The gradient at ``point`` from the ``parts`` of its evaluation, as
+    returned by :func:`~ncpd.tensors.value_and_residual`.  The weighted
+    MTTKRPs are written straight into their blocks of the flat gradient."""
+    mtts = mttkrps(point, parts)
     grad = np.empty(point.structure.size)
     stop = 0
     for mtt in mtts:

@@ -68,8 +68,9 @@ def project(fset: FeasibleSet, w) -> CpdPoint:
 
     ``w`` is a flat vector or a point.  The projection is computed per run
     of equal-size modes (:attr:`CpdStructure.mode_groups`) straight into
-    one flat vector, and returned as :meth:`CpdPoint.from_flat` of it, so
-    its factors are the row-major copies on which the solver evaluates.
+    one flat vector, which :meth:`CpdPoint.from_flat` takes over without a
+    copy; its factors are the row-major copies on which the solver
+    evaluates.
     """
     s = fset.structure
     w = np.asarray(w.flat if isinstance(w, CpdPoint) else w, dtype=np.float64)
@@ -87,7 +88,7 @@ def project(fset: FeasibleSet, w) -> CpdPoint:
     np.maximum(w[ws], 0.0, out=out[ws])
     if fset.box_bound is not None:
         np.minimum(out[ws], fset.box_bound, out=out[ws])
-    return CpdPoint.from_flat(s, out, degenerate)
+    return CpdPoint.from_flat(s, out, degenerate, owned=True)
 
 
 def _unit_rows(pos: np.ndarray, out: np.ndarray) -> np.ndarray:

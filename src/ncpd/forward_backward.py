@@ -57,20 +57,21 @@ class CpdProblem:
 
     All objective and gradient evaluations the solver performs are routed
     through this object so the counters stay exact: ``fevals`` counts the
-    residuals built for an objective value, ``gevals`` the gradients
+    evaluations made for an objective value, ``gevals`` the gradients
     returned.  Each method raises :class:`FloatingPointError` on a
     non-finite result.
 
-    The residual of the last :meth:`objective` evaluation is kept until the
-    next call of :meth:`objective` or :meth:`value_and_gradient`, and the
-    latter, at a point with exactly the same bits, takes f, the residual and
-    its Khatri-Rao products from it instead of building the residual again:
-    a projected-gradient step moves to the projected point whose objective
-    the stepsize check has just evaluated.  What is left of the gradient is
-    then the MTTKRPs, two matrix products with the residual from four modes
-    on.  The solver passes that projected point itself, so no bits need
-    comparing.  Points are evaluated as given: the solver's all come from
-    :meth:`CpdPoint.from_flat` (:meth:`point`, or
+    The parts of the last :meth:`objective` evaluation (the residual up to
+    three modes, the halves' partial contractions from four on; see
+    :func:`~ncpd.tensors.value_and_residual`) are kept until the next call
+    of :meth:`objective` or :meth:`value_and_gradient`, and the latter, at a
+    point with exactly the same bits, takes f and the parts from it instead
+    of evaluating again: a projected-gradient step moves to the projected
+    point whose objective the stepsize check has just evaluated.  What is
+    left of the gradient is then the MTTKRPs, which from four modes on read
+    no array of the tensor's size.  The solver passes that projected point
+    itself, so no bits need comparing.  Points are evaluated as given: the
+    solver's all come from :meth:`CpdPoint.from_flat` (:meth:`point`, or
     :func:`~ncpd.constraints.project`), whose row-major factors fix the
     rounding.
     """
@@ -83,8 +84,8 @@ class CpdProblem:
         self.tensor = tensor
         self.fset = fset
         self.counters = counters if counters is not None else EvalCounters()
-        # (flat point, f, residual, Khatri-Rao products) of the last objective;
-        # emptied when read, so that it is used at most once
+        # (flat point, f, evaluation parts) of the last objective; emptied
+        # when read, so that it is used at most once
         self._kept = None
 
     @property
@@ -95,12 +96,12 @@ class CpdProblem:
         return CpdPoint.from_flat(self.structure, x)
 
     def objective(self, point: CpdPoint) -> float:
-        """Objective at ``point``, one counted evaluation; its residual is
+        """Objective at ``point``, one counted evaluation; its parts are
         kept for :meth:`value_and_gradient` at the same point."""
-        self._kept = None  # hold one tensor-size residual at a time
+        self._kept = None  # hold one evaluation's parts at a time
         self.counters.fevals += 1
-        value, res, products = value_and_residual(point, self.tensor)
-        self._kept = (point.flat, _finite_value(value), res, products)
+        value, parts = value_and_residual(point, self.tensor)
+        self._kept = (point.flat, _finite_value(value), parts)
         return value
 
     def gradient(self, point: CpdPoint) -> np.ndarray:
@@ -108,21 +109,21 @@ class CpdProblem:
         return _finite_gradient(gradient(point, self.tensor))
 
     def value_and_gradient(self, point: CpdPoint) -> tuple[float, np.ndarray]:
-        """Objective and gradient from one residual: the kept one when
+        """Objective and gradient from one evaluation: the kept one when
         ``point`` has the bits of the last :meth:`objective`'s point (one
         counted gradient), else a new one (one counted objective and one
         gradient).  A non-finite objective raises before the gradient is
         computed or counted."""
         kept, self._kept = self._kept, None
         if kept is not None and _same_bits(kept[0], point.flat):
-            _, value, res, products = kept
+            _, value, parts = kept
         else:
-            kept = None  # free the kept residual before building a new one
+            kept = None  # free the kept parts before evaluating again
             self.counters.fevals += 1
-            value, res, products = value_and_residual(point, self.tensor)
+            value, parts = value_and_residual(point, self.tensor)
             _finite_value(value)
         self.counters.gevals += 1
-        return value, _finite_gradient(gradient_from_residual(point, res, products))
+        return value, _finite_gradient(gradient_from_residual(point, parts))
 
     def gramian(self, point: CpdPoint) -> GramianOperator:
         return GramianOperator(point, self.counters)
@@ -187,7 +188,7 @@ class StepState:
     @property
     def fz(self) -> float:
         """Objective at the projected point ``z``; one counted evaluation,
-        cached.  Its residual is kept, so that :func:`fb_step` at ``z``
+        cached.  Its evaluation is kept, so that :func:`fb_step` at ``z``
         reuses it."""
         if self._fz is None:
             self._fz = self.problem.objective(self.z)
@@ -210,13 +211,12 @@ def fb_step(problem: CpdProblem, x, gamma: float) -> StepState:
 
     A point is used as it is, and becomes the state's ``point``; a flat
     vector is copied once, by :meth:`CpdProblem.point`.  The objective and
-    the gradient at ``x`` come from one residual
+    the gradient at ``x`` come from one evaluation
     (:meth:`CpdProblem.value_and_gradient`) and count as one gradient
-    evaluation, plus one objective evaluation when the residual is built
-    here.  It is not when ``x`` has the bits of the projected point whose
+    evaluation, plus one objective evaluation when it is made here.  It is not when ``x`` has the bits of the projected point whose
     :attr:`StepState.fz` was the problem's last objective evaluation, as on
     a projected-gradient step, which passes that point itself: that
-    residual is reused.  The objective at the projected point is left to
+    evaluation is reused.  The objective at the projected point is left to
     :attr:`StepState.fz`.
     """
     point = x if isinstance(x, CpdPoint) else problem.point(x)

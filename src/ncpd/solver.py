@@ -282,14 +282,15 @@ def panoc_solve(
     ``reference`` is given, every trace row carries the term-matched
     distance to it.  Returns the projected point of the final state, always
     feasible, with the termination reason; raises :class:`NonFiniteError`
-    (trace attached) if the objective or gradient blows up.
+    (trace attached) if the objective or gradient blows up, and
+    :class:`ValueError` on a NaN or inf in the data or in ``x0``.
     """
     if cfg is None:
         cfg = SolverConfig()
     structure = x0.structure
     if structure.dims != tensor.dims:
         raise ValueError(f"start point dims {structure.dims} do not match tensor {tensor.dims}")
-    _check_finite_start(x0)
+    _check_finite(tensor, x0)
     fset = FeasibleSet(structure, cfg.box_bound, cfg.feas_tol)
     problem = CpdProblem(tensor, fset, EvalCounters())
     trace = SolverTrace(has_reference=reference is not None)
@@ -303,9 +304,14 @@ def panoc_solve(
         raise NonFiniteError(str(exc), trace) from exc
 
 
-def _check_finite_start(x0: CpdPoint) -> None:
+def _check_finite(tensor: DenseTensor, x0: CpdPoint) -> None:
     """Raise :class:`ValueError` naming the first non-finite entry of the
-    start point, before anything is evaluated at it."""
+    data, by its multi-index, or else of the start point, before anything
+    is evaluated."""
+    bad = np.flatnonzero(~np.isfinite(tensor.values))
+    if bad.size:
+        index = tuple(int(i) for i in np.unravel_index(bad[0], tensor.dims, order="F"))
+        raise ValueError(f"tensor has a non-finite value {tensor.values[bad[0]]} at index {index}")
     bad = np.flatnonzero(~np.isfinite(x0.flat))
     if not bad.size:
         return

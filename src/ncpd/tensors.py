@@ -178,6 +178,10 @@ class CpdStructure:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.size,):
             raise ValueError(f"expected flat length {self.size}, got {x.shape}")
+        return self._views(x)
+
+    def _views(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """:meth:`split` of a float64 vector of the right length, unchecked."""
         rank = self.rank
         factors = [
             x[off : off + rank * dim].reshape((dim, rank), order="F")
@@ -247,13 +251,15 @@ class CpdPoint:
         return out
 
     @classmethod
-    def from_flat(cls, structure: CpdStructure, x, degenerate: bool = False) -> "CpdPoint":
+    def from_flat(cls, structure: CpdStructure, x, degenerate: bool = False, owned: bool = False) -> "CpdPoint":
         """The point whose flat layout is ``x``.  ``flat`` is a read-only
         copy of ``x``, the weights a view of it, and each factor block is
         copied once, to a row-major matrix; the shapes are valid by
-        construction, so the checks of ``__init__`` are skipped."""
-        flat = np.array(x, dtype=np.float64)
-        factors, weights = structure.split(flat)
+        construction, so the checks of ``__init__`` are skipped.  An
+        ``owned`` ``x``, a float64 vector of the right length that the caller
+        has just made and hands over, becomes ``flat`` itself, unchecked."""
+        flat = x if owned else np.array(x, dtype=np.float64)
+        factors, weights = structure._views(flat) if owned else structure.split(flat)
         flat.setflags(write=False)
         point = cls.__new__(cls)
         point._own([a.copy() for a in factors], weights, degenerate)
@@ -335,45 +341,65 @@ def unfold_values(values: np.ndarray, dims: tuple[int, ...], mode: int) -> np.nd
     return np.reshape(arr, (dims[mode], -1), order="F")
 
 
-def value_and_residual(point: CpdPoint, tensor: DenseTensor) -> tuple[float, np.ndarray, tuple[np.ndarray, ...]]:
-    """Half squared residual norm, the flat residual (model minus data) in
-    canonical flat order, and the Khatri-Rao products that built it: what
-    :func:`~ncpd.calculus.gradient_from_residual` needs besides the point.
+# Bytes of data per block of the evaluation of four or more modes, small
+# enough that a block's residual stays in cache between its five uses.
+_BLOCK_BYTES = 256 * 1024
 
-    The model is one matrix product written straight into the flat result,
-    from which the data is then subtracted in place.  For ``N <= 3`` it is
-    the mode-0 unfolding of :func:`tensor_from_cpd`, from the one product of
-    the factors of modes ``N-1, ..., 1``, so the residual equals
-    ``tensor_from_cpd(point).values - tensor.values`` bit for bit.  For
-    ``N >= 4`` the modes split into a left half ``0, ..., h-1`` and a right
-    half ``h, ..., N-1``, ``h = N // 2`` (a dimension tree of depth one),
-    and the model is the product of the two halves' Khatri-Rao products,
-    each in decreasing mode order; that sums the same terms in another
-    order.  Overflow is left to the caller's finiteness check, without a
-    warning.
+
+def value_and_residual(point: CpdPoint, tensor: DenseTensor) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """Half squared residual norm, and the two arrays that :func:`mttkrps`
+    needs besides the point.
+
+    For ``N <= 3`` these are the flat residual (model minus data) and the
+    Khatri-Rao product of the factors of modes ``N-1, ..., 1``.  The model
+    is the mode-0 unfolding of :func:`tensor_from_cpd`, written straight
+    into the flat result, so the residual equals :func:`residual_values`
+    bit for bit.  For ``N >= 4`` the modes split into a left half
+    ``0, ..., h-1`` and a right half ``h, ..., N-1``, ``h = N // 2`` (a
+    dimension tree of depth one), and the data, viewed as its C-order (right
+    half x left half) matrix, is read once, in blocks of rows of
+    ``_BLOCK_BYTES``, with no array of the tensor's size built.  Per block,
+    the model (the product of the halves' Khatri-Rao products, each in
+    decreasing mode order) is written into one reused buffer and the data
+    subtracted; that residual block's squared norm is added to f, its
+    transpose times the right half's product to the left half's partial
+    contraction, and its product with the left half's is written into the
+    right half's rows.  These two partial contractions are returned.
+    Overflow is left to the caller's finiteness check, without a warning.
     """
     if point.structure.dims != tensor.dims:
         raise ValueError(f"point dims {point.structure.dims} do not match tensor {tensor.dims}")
     factors = point.factors
-    n_modes = len(factors)
-    res = np.empty(tensor.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        if n_modes <= 3:
-            products = (_khatri_rao(factors[:0:-1]),)
+        if len(factors) <= 3:
+            kr = _khatri_rao(factors[:0:-1])
+            res = np.empty(tensor.size)
             # res.reshape(-1, I_0).T is the mode-0 unfolding of the flat result
-            np.matmul(factors[0], point.weights[:, None] * products[0].T, out=res.reshape(-1, tensor.dims[0]).T)
-        else:
-            h = n_modes // 2
-            products = left, right = _khatri_rao(factors[h - 1 :: -1]), _khatri_rao(factors[: h - 1 : -1])
-            # the flat result as a C-order (right half x left half) matrix
-            np.matmul(right, (left * point.weights).T, out=res.reshape(right.shape[0], left.shape[0]))
-        np.subtract(res, tensor.values, out=res)
-        return 0.5 * float(res @ res), res, products
+            np.matmul(factors[0], point.weights[:, None] * kr.T, out=res.reshape(-1, tensor.dims[0]).T)
+            np.subtract(res, tensor.values, out=res)
+            return 0.5 * float(res @ res), (res, kr)
+        h = len(factors) // 2
+        left, right = _khatri_rao(factors[h - 1 :: -1]), _khatri_rao(factors[: h - 1 : -1])
+        scaled = (left * point.weights).T
+        data = tensor.values.reshape(right.shape[0], left.shape[0])
+        step = max(1, _BLOCK_BYTES // data.strides[0])
+        buf = np.empty((min(step, data.shape[0]), data.shape[1]))
+        left_partial, right_partial = np.zeros(left.shape), np.empty(right.shape)
+        total = 0.0
+        for start in range(0, data.shape[0], step):
+            rows = slice(start, start + step)
+            block = buf[: right[rows].shape[0]]
+            np.matmul(right[rows], scaled, out=block)
+            np.subtract(block, data[rows], out=block)
+            total += float(block.reshape(-1) @ block.reshape(-1))
+            left_partial += block.T @ right[rows]
+            np.matmul(block, left, out=right_partial[rows])
+        return 0.5 * total, (left_partial, right_partial)
 
 
 def residual_values(point: CpdPoint, tensor: DenseTensor) -> np.ndarray:
-    """Flat residual (model minus data), as built by :func:`value_and_residual`."""
-    return value_and_residual(point, tensor)[1]
+    """Flat residual: the model of :func:`tensor_from_cpd` minus the data."""
+    return tensor_from_cpd(point, tensor.dims).values - tensor.values
 
 
 def objective_value(point: CpdPoint, tensor: DenseTensor) -> float:
@@ -381,31 +407,28 @@ def objective_value(point: CpdPoint, tensor: DenseTensor) -> float:
     return value_and_residual(point, tensor)[0]
 
 
-def mttkrps(point: CpdPoint, res: np.ndarray, products: tuple[np.ndarray, ...]) -> list[np.ndarray]:
-    """Per mode ``n``, the mode-``n`` unfolding of the flat residual ``res``
-    times the Khatri-Rao product of the other factors in decreasing mode
-    order (the MTTKRP), given the Khatri-Rao ``products`` that built ``res``
-    in :func:`value_and_residual`.
+def mttkrps(point: CpdPoint, parts: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
+    """Per mode ``n``, the mode-``n`` unfolding of the residual times the
+    Khatri-Rao product of the other factors in decreasing mode order (the
+    MTTKRP), from the ``parts`` that :func:`value_and_residual` returned.
 
-    For ``N <= 3``, one pass over ``res`` per mode, on unfoldings of ``res``
-    itself, so modes ``0`` and ``N-1`` copy nothing.  For ``N >= 4``, two
-    passes: ``res`` as a (left half x right half) matrix times the right
-    half's product, and its transpose times the left half's; what is left
-    are contractions within each half.  No unfolding is copied.
+    For ``N <= 3``, one pass over the flat residual per mode, on unfoldings
+    of the residual itself, so modes ``0`` and ``N-1`` copy nothing.  For
+    ``N >= 4``, contractions within each half of the halves' partial
+    contractions, which the evaluation's one pass over the data has built.
     """
     factors = point.factors
-    dims = point.structure.dims
-    n_modes = len(dims)
-    if len(products) == 1:
+    n_modes = len(factors)
+    if n_modes <= 3:
+        res, kr = parts
+        dims = point.structure.dims
         out = []
         for n in range(n_modes):
             others = [factors[m] for m in range(n_modes - 1, -1, -1) if m != n]
-            out.append(unfold_values(res, dims, n) @ (products[0] if n == 0 else _khatri_rao(others)))
+            out.append(unfold_values(res, dims, n) @ (kr if n == 0 else _khatri_rao(others)))
         return out
-    left, right = products
-    mat = res.reshape(left.shape[0], right.shape[0], order="F")
     h = n_modes // 2
-    return _half_mttkrps(mat @ right, factors[:h]) + _half_mttkrps(mat.T @ left, factors[h:])
+    return _half_mttkrps(parts[0], factors[:h]) + _half_mttkrps(parts[1], factors[h:])
 
 
 def _half_mttkrps(partial: np.ndarray, factors: list[np.ndarray]) -> list[np.ndarray]:

@@ -368,14 +368,19 @@ def gradient_via_model(factors, weights, data):
     return np.concatenate(parts)
 
 
-# --- the dimension tree of four or more modes -------------------------------
+# --- the blocked evaluation of four or more modes ----------------------------
 #
 # The modes split into a left half 0..h-1 and a right half h..N-1, h = N // 2.
-# The model is one matrix product of the halves' Khatri-Rao products, and
-# the gradient contracts the residual with each of them once, in the same
-# numpy calls on operands of the same memory layout as the package.  The
-# contractions within a half are plain loops over its entries, summed in
-# increasing order of the other modes' joint index, first term first.
+# The data, viewed as its C-order (right half x left half) matrix, is taken
+# one block of rows at a time, in increasing order, as many rows per block as
+# fit in the block's bytes (at least one).  A block's residual is the
+# product of the halves' Khatri-Rao products minus the data block: f sums
+# its squared norms, the left half's partial contraction sums its transpose
+# times the right half's product, and the right half's takes its rows from
+# its product with the left half's, in the same numpy calls on operands of
+# the same memory layout as the package.  The contractions within a half are
+# plain loops over its entries, summed in increasing order of the other
+# modes' joint index, first term first.
 
 
 def tree_products(factors):
@@ -388,17 +393,23 @@ def tree_products(factors):
     return left, right
 
 
-def residual_via_tree(factors, weights, data):
-    """The model as a C-order (right half x left half) matrix, flattened,
-    minus the data."""
+def blocked_partials(factors, weights, data, block_bytes):
+    """The objective and the left and right halves' partial contractions,
+    one block of rows at a time."""
     left, right = tree_products(factors)
-    model = right @ (left * weights).T
-    return model.reshape(-1) - data
-
-
-def objective_via_tree(factors, weights, data):
-    res = residual_via_tree(factors, weights, data)
-    return 0.5 * float(res @ res)
+    mat = data.reshape(right.shape[0], left.shape[0])
+    step = max(1, block_bytes // (8 * left.shape[0]))
+    total = 0.0
+    left_partial = np.zeros(left.shape)
+    right_partial = np.empty(right.shape)
+    for start in range(0, right.shape[0], step):
+        rows = slice(start, start + step)
+        res = right[rows] @ (left * weights).T
+        res -= mat[rows]
+        total += float(res.reshape(-1) @ res.reshape(-1))
+        left_partial += res.T @ right[rows]
+        right_partial[rows] = res @ left
+    return 0.5 * total, left_partial, right_partial
 
 
 def half_mttkrp_loop(partial, half_factors, mode):
@@ -423,18 +434,15 @@ def half_mttkrp_loop(partial, half_factors, mode):
     return out
 
 
-def gradient_via_tree(factors, weights, data):
-    """Two matrix products with the residual matrix, then per-mode loops
-    within each half; joined like :func:`gradient_via_model`."""
-    dims = tuple(a.shape[0] for a in factors)
-    n = len(factors)
-    h = n // 2
-    left, right = tree_products(factors)
-    res = residual_via_tree(factors, weights, data).copy()
-    mat = res.reshape(left.shape[0], right.shape[0], order="F")
+def evaluation_via_blocks(factors, weights, data, block_bytes):
+    """Objective and gradient from :func:`blocked_partials`, then per-mode
+    loops within each half; the gradient joined like
+    :func:`gradient_via_model`."""
+    h = len(factors) // 2
+    f, left_partial, right_partial = blocked_partials(factors, weights, data, block_bytes)
     mtts = []
-    for partial, half in ((mat @ right, factors[:h]), (mat.T @ left, factors[h:])):
+    for partial, half in ((left_partial, factors[:h]), (right_partial, factors[h:])):
         mtts.extend(half_mttkrp_loop(partial, half, mode) for mode in range(len(half)))
     parts = [(mtt * weights[None, :]).flatten(order="F") for mtt in mtts]
     parts.append(np.einsum("ir,ir->r", factors[0], mtts[0]))
-    return np.concatenate(parts)
+    return f, np.concatenate(parts)

@@ -4,14 +4,16 @@ Solver traces are chaotic under rounding (one changed last bit moves
 iteration counts and convergence slopes), so the fast paths of
 ``project``, ``ProjJacobianElement.apply``, ``GramianOperator.apply`` and
 ``JhatOperator.apply``/``apply_transpose`` must reproduce the per-block
-loops exactly, signed zeros included, and the flat residual core
-(``residual_values``, ``objective_value``, ``gradient`` and the pair
+loops exactly, signed zeros included, and the evaluation core
+(``objective_value``, ``gradient`` and the pair
 ``value_and_residual``/``gradient_from_residual``) must reproduce a
 reference evaluation: up to three modes, the one through a dense model
-tensor and per-mode unfoldings of a copied residual; from four modes on,
-the dimension tree's two matrix products and plain loops within each half.
-A step to the point whose objective was evaluated last reuses that
-residual, and must return the bits of a step that builds it afresh.
+tensor and per-mode unfoldings of a copied residual; from four modes on, a
+plain loop over the data's blocks of rows in their documented order, and
+plain loops within each half of the dimension tree.  ``residual_values``
+is the residual of the dense model tensor at any number of modes.  A step
+to the point whose objective was evaluated last reuses that evaluation,
+and must return the bits of a step that evaluates afresh.
 """
 
 import math
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncpd.tensors as tensors
 import oracles
 from ncpd.calculus import EvalCounters, GramianOperator, gradient, gradient_from_residual
 from ncpd.constraints import DegenerateBlockError, FeasibleSet, proj_jacobian, project
@@ -192,7 +195,7 @@ def test_operators_match_loops_bitwise_at_solver_sizes(dims, rank):
     assert_projection_matches_column_loop(structure, None, w)
 
 
-# --- the flat residual core ---------------------------------------------------
+# --- the evaluation core -----------------------------------------------------
 
 
 @st.composite
@@ -208,25 +211,26 @@ def evaluations(draw):
 
 
 def reference(factors, weights, data):
-    """Residual, objective and gradient of the reference evaluation: per
-    mode up to three modes, the dimension tree from four."""
+    """Objective and gradient of the reference evaluation: per mode up to
+    three modes, block by block from four."""
     if len(factors) <= 3:
-        paths = oracles.residual_via_model, oracles.objective_via_model, oracles.gradient_via_model
+        f, g = oracles.objective_via_model(factors, weights, data), oracles.gradient_via_model(factors, weights, data)
     else:
-        paths = oracles.residual_via_tree, oracles.objective_via_tree, oracles.gradient_via_tree
-    res, f, g = (path(factors, weights, data) for path in paths)
-    return res, np.float64(f), g
+        f, g = oracles.evaluation_via_blocks(factors, weights, data, tensors._BLOCK_BYTES)
+    return np.float64(f), g
 
 
 def assert_evaluation_matches_model_path(point, tensor):
-    want_res, want_f, want_g = reference(point.factors, point.weights, tensor.values)
+    want_res = oracles.residual_via_model(point.factors, point.weights, tensor.values)
+    want_f, want_g = reference(point.factors, point.weights, tensor.values)
     assert_bitwise(residual_values(point, tensor), want_res)
     assert_bitwise(np.float64(objective_value(point, tensor)), want_f)
     assert_bitwise(gradient(point, tensor), want_g)
-    value, res, products = value_and_residual(point, tensor)
+    value, parts = value_and_residual(point, tensor)
     assert_bitwise(np.float64(value), want_f)
-    assert_bitwise(res, want_res)
-    assert_bitwise(gradient_from_residual(point, res, products), want_g)
+    if point.structure.num_modes <= 3:
+        assert_bitwise(parts[0], want_res)
+    assert_bitwise(gradient_from_residual(point, parts), want_g)
 
 
 @given(evaluations())
@@ -255,12 +259,12 @@ def test_fb_step_counts_one_evaluation_of_the_model_path(case):
     state = fb_step(problem, point.flat, 0.1)
     assert (problem.counters.fevals, problem.counters.gevals) == (4, 6)
     factors, weights = oracles.split_flat(point.flat, structure.dims, structure.rank)
-    _, want_f, want_g = reference(factors, weights, tensor.values)
+    want_f, want_g = reference(factors, weights, tensor.values)
     assert_bitwise(np.float64(state.fx), want_f)
     assert_bitwise(state.grad, want_g)
 
 
-# --- the residual kept from the projected point's objective -------------------
+# --- the evaluation kept from the projected point's objective -----------------
 
 
 def evaluated_step(point, tensor):
@@ -289,11 +293,32 @@ def test_kept_residual_gives_the_bits_of_a_fresh_step(case):
         assert_bitwise(np.float64(got.fx), np.float64(state.fz))
     assert_bitwise(hit.grad, fresh.grad)
     factors, weights = oracles.split_flat(state.z.flat, point.structure.dims, point.structure.rank)
-    assert_bitwise(hit.grad, reference(factors, weights, tensor.values)[2])
-    # the kept residual was used up: the same point again builds its own
+    assert_bitwise(hit.grad, reference(factors, weights, tensor.values)[1])
+    # the kept evaluation was used up: the same point again makes its own
     again = fb_step(problem, state.z.flat, 0.1)
     assert counts(problem) == (fe + 1, ge + 2)
     assert_bitwise(again.grad, fresh.grad)
+
+
+@pytest.mark.parametrize("dims,rank,block_rows", [((30, 30, 30, 30), 8, None), ((5, 4, 1, 6, 3), 3, 4), ((2, 3, 2, 3, 2, 2), 2, 1)])
+def test_kept_partials_give_the_bits_of_a_fresh_step(dims, rank, block_rows, monkeypatch):
+    # from four modes on the kept parts are the halves' partial contractions,
+    # summed over blocks of rows: 25 at the solver's size, 5 with a ragged
+    # last one, and one row each
+    if block_rows is not None:
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", 8 * math.prod(dims[: len(dims) // 2]) * block_rows)
+    structure = CpdStructure(dims, rank)
+    rng = np.random.default_rng(sum(dims))
+    tensor = DenseTensor(dims, rng.standard_normal(math.prod(dims)))
+    problem, state = evaluated_step(CpdPoint.from_flat(structure, rng.uniform(-0.2, 1.0, structure.size)), tensor)
+    fe, ge = counts(problem)
+    hit = fb_step(problem, state.z, 0.1)
+    assert counts(problem) == (fe, ge + 1)
+    fresh = fb_step(CpdProblem(tensor, FeasibleSet(structure)), np.array(state.z.flat), 0.1)
+    assert_bitwise(np.float64(hit.fx), np.float64(fresh.fx))
+    assert_bitwise(hit.grad, fresh.grad)
+    factors, weights = oracles.split_flat(state.z.flat, dims, rank)
+    assert_bitwise(hit.grad, reference(factors, weights, tensor.values)[1])
 
 
 @given(evaluations(), st.integers(0, 10**6), st.sampled_from([np.inf, -np.inf]))
@@ -308,7 +333,7 @@ def test_kept_residual_misses_a_point_one_ulp_away(case, index, direction):
     step = fb_step(problem, x, 0.1)
     assert counts(problem) == (fe + 1, ge + 1)
     factors, weights = oracles.split_flat(x, point.structure.dims, point.structure.rank)
-    assert_bitwise(step.grad, reference(factors, weights, tensor.values)[2])
+    assert_bitwise(step.grad, reference(factors, weights, tensor.values)[1])
 
 
 def test_kept_residual_misses_a_zero_of_the_other_sign():

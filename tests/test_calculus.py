@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncpd.tensors as tensors
 import oracles
 from helpers import random_feasible, strictly_positive_point, tiny_structure
 from ncpd.calculus import (
@@ -13,6 +15,7 @@ from ncpd.calculus import (
     cauchy_scale,
     explicit_jacobian,
     gradient,
+    gradient_from_residual,
     kernel_basis,
 )
 from ncpd.tensors import (
@@ -22,6 +25,7 @@ from ncpd.tensors import (
     objective_value,
     residual_values,
     tensor_from_cpd,
+    value_and_residual,
 )
 
 
@@ -85,6 +89,43 @@ def test_tree_gradient_matches_per_mode_gradient_and_finite_differences(dims, ra
 
     fd = oracles.fd_gradient(f, point.flat, h=1e-6)
     assert np.linalg.norm(got - fd) / max(1.0, float(np.linalg.norm(fd))) <= 1e-6
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=4, max_size=6),
+    st.integers(1, 4),
+    st.integers(1, 70),
+    st.sampled_from([0.0, 0.3]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_blocked_evaluation_matches_per_mode_model_path(dims, rank, block_rows, zero_share, seed):
+    # From four modes on, f and the gradient come from one pass over the
+    # data in blocks of rows of its (right half x left half) matrix: one
+    # block when block_rows covers all rows, else several, the last one
+    # ragged unless block_rows divides them.  Mode sizes of 1 and signed
+    # zeros in the point and the data are drawn too.
+    rng = np.random.default_rng(seed)
+    structure = CpdStructure(dims, rank)
+    x = rng.standard_normal(structure.size)
+    data = rng.standard_normal(math.prod(dims))
+    for v in (x, data):
+        hit = rng.random(v.size) < zero_share
+        v[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    point = CpdPoint.from_flat(structure, x)
+    tensor = DenseTensor(dims, data)
+    row_bytes = 8 * math.prod(dims[: len(dims) // 2])
+    # block_rows rows and part of one more
+    with mock.patch.object(tensors, "_BLOCK_BYTES", block_rows * row_bytes + row_bytes // 2):
+        value, parts = value_and_residual(point, tensor)
+        got = gradient_from_residual(point, parts)
+    # within 1e-12 of the per-mode path, relative to the same evaluation
+    # on absolute values, which bounds every term that is summed
+    abs_args = [np.abs(a) for a in point.factors], np.abs(point.weights), -np.abs(data)
+    want_f = oracles.objective_via_model(point.factors, point.weights, data)
+    assert abs(value - want_f) <= 1e-12 * oracles.objective_via_model(*abs_args)
+    want = oracles.gradient_via_model(point.factors, point.weights, data)
+    assert np.all(np.abs(got - want) <= 1e-12 * oracles.gradient_via_model(*abs_args))
 
 
 @pytest.mark.parametrize("seed", range(5))

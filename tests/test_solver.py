@@ -251,14 +251,24 @@ def test_max_iters_reason():
     assert res.iterations == 2
 
 
-def test_nonfinite_tensor_raises_with_trace():
+def test_nonfinite_tensor_raises_with_trace(monkeypatch):
+    # a tensor built in code is checked at the solver boundary, before
+    # anything is evaluated on it, and the error names the first bad entry
+    # by its multi-index; (5, 4, 3): flat position 5*1 + 5*4*2 = 45
     structure, tensor, planted = small_exact(18)
     values = np.array(tensor.values)
-    values[0] = np.nan
+    values[45] = np.nan
+    values[-1] = np.inf  # a later non-finite entry is not the one named
     bad = DenseTensor(structure.dims, values)
-    with pytest.raises(NonFiniteError) as info:
-        panoc_solve(bad, planted)
-    assert info.value.trace is not None
+
+    def evaluated(*args):
+        raise AssertionError("evaluated a non-finite tensor")
+
+    for module in ("ncpd.calculus", "ncpd.forward_backward"):
+        monkeypatch.setattr(f"{module}.value_and_residual", evaluated)
+    for solve in (panoc_solve, pgd_solve):
+        with pytest.raises(ValueError, match=r"^tensor has a non-finite value nan at index \(0, 1, 2\)$"):
+            solve(bad, planted)
 
 
 @pytest.mark.parametrize(
