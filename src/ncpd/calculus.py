@@ -121,7 +121,6 @@ class GramianOperator:
     def __init__(self, point: CpdPoint, counters: EvalCounters | None = None):
         self.point = point
         self.counters = counters
-        self.applies = 0
         s = point.structure
         factors = point.factors
         n, rank = s.num_modes, s.rank
@@ -153,7 +152,6 @@ class GramianOperator:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.size,):
             raise ValueError(f"expected flat length {self.size}, got {v.shape}")
-        self.applies += 1
         if self.counters is not None:
             self.counters.gramian_applies += 1
         s = self.point.structure
@@ -260,10 +258,6 @@ class KernelBasis:
 
     matrix: np.ndarray
     degenerate: bool
-
-    @property
-    def num_columns(self) -> int:
-        return self.matrix.shape[1]
 
 
 def kernel_basis(point: CpdPoint) -> KernelBasis:

@@ -41,19 +41,14 @@ class FeasibleSet:
     box_bound:
         Optional upper bound M on every weight; ``None`` leaves weights
         unbounded above.
-    tol:
-        Default feasibility tolerance.
     """
 
     structure: CpdStructure
     box_bound: float | None = None
-    tol: float = 1e-10
 
     def __post_init__(self):
         if self.box_bound is not None and not self.box_bound > 0:
             raise ValueError(f"box bound must be positive, got {self.box_bound}")
-        if not self.tol >= 0:
-            raise ValueError(f"tolerance must be nonnegative, got {self.tol}")
 
 
 def project(fset: FeasibleSet, w) -> CpdPoint:
@@ -214,13 +209,11 @@ class FeasibilityReport:
         return self.ok
 
 
-def is_feasible(fset: FeasibleSet, point: CpdPoint, tol: float | None = None) -> FeasibilityReport:
+def is_feasible(fset: FeasibleSet, point: CpdPoint, tol: float = 1e-10) -> FeasibilityReport:
     """Check feasibility within ``tol``; the report names each violation.
 
     Mode and column indices in the report are 0-based.
     """
-    if tol is None:
-        tol = fset.tol
     if point.structure != fset.structure:
         raise ValueError(
             f"point structure {point.structure} does not match set {fset.structure}"

@@ -32,7 +32,7 @@ from .solver import (
     panoc_solve,
     pgd_solve,
 )
-from .tensors import CpdPoint, CpdStructure, DenseTensor, tensor_from_cpd
+from .tensors import CpdPoint, CpdStructure, DenseTensor, format_float, tensor_from_cpd
 
 __all__ = [
     "InstanceSpec",
@@ -256,7 +256,7 @@ class ExperimentReport:
                 elif isinstance(v, bool):
                     row.append(int(v))
                 elif isinstance(v, float):
-                    row.append(format(v, ".17g"))
+                    row.append(format_float(v))
                 else:
                     row.append(v)
             writer.writerow(row)
@@ -391,17 +391,19 @@ def run_experiment_compare(
         hist, _ = np.histogram(vals, bins=np.asarray(log_edges))
         return [int(c) for c in hist]
 
+    q1_gn, median_gn, q3_gn = _quartiles([r.panoc_gradients for r in records])
+    q1_pg, median_pg, q3_pg = _quartiles([r.pgd_gradients for r in records])
     aggregate = {
         "experiment": "compare",
         "runs": runs,
         "base_seed": base_seed,
         "n_flagged": len(records) - len(paired),
-        "median_panoc_gradients": float(np.median([r.panoc_gradients for r in records])) if records else None,
-        "median_pgd_gradients": float(np.median([r.pgd_gradients for r in records])) if records else None,
-        "q1_panoc_gradients": float(np.percentile([r.panoc_gradients for r in records], 25)) if records else None,
-        "q3_panoc_gradients": float(np.percentile([r.panoc_gradients for r in records], 75)) if records else None,
-        "q1_pgd_gradients": float(np.percentile([r.pgd_gradients for r in records], 25)) if records else None,
-        "q3_pgd_gradients": float(np.percentile([r.pgd_gradients for r in records], 75)) if records else None,
+        "median_panoc_gradients": median_gn,
+        "median_pgd_gradients": median_pg,
+        "q1_panoc_gradients": q1_gn,
+        "q3_panoc_gradients": q3_gn,
+        "q1_pgd_gradients": q1_pg,
+        "q3_pgd_gradients": q3_pg,
         "win_rate_excluding_flagged": (wins / len(paired)) if paired else None,
         "wins_excluding_flagged": wins,
         "paired_runs": len(paired),

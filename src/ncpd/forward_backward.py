@@ -125,9 +125,6 @@ class CpdProblem:
         self.counters.gevals += 1
         return value, _finite_gradient(gradient_from_residual(point, parts))
 
-    def gramian(self, point: CpdPoint) -> GramianOperator:
-        return GramianOperator(point, self.counters)
-
 
 def _finite_value(value: float) -> float:
     if not np.isfinite(value):
@@ -182,10 +179,6 @@ class StepState:
         self._gramian = None
 
     @property
-    def degenerate(self) -> bool:
-        return self.z.degenerate
-
-    @property
     def fz(self) -> float:
         """Objective at the projected point ``z``; one counted evaluation,
         cached.  Its evaluation is kept, so that :func:`fb_step` at ``z``
@@ -196,7 +189,7 @@ class StepState:
 
     def gramian(self) -> GramianOperator:
         if self._gramian is None:
-            self._gramian = self.problem.gramian(self.point)
+            self._gramian = GramianOperator(self.point, self.problem.counters)
         return self._gramian
 
     def with_gamma(self, gamma: float) -> "StepState":

@@ -18,16 +18,16 @@ One outer iteration works on a validated step state at the current point:
 5. Optionally raise ``gamma`` back to a curvature-scale floor before the
    next iteration; the raised value is re-validated by step 1.
 
-The projected-gradient solver is the same driver with the direction
-disabled, so both algorithms share stepsize handling, counters and trace
-format exactly.
+The projected-gradient solver is the same driver without the direction,
+so both algorithms share stepsize handling, counters and trace format
+exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .calculus import EvalCounters, cauchy_scale
 from .constraints import DegenerateBlockError, FeasibleSet, project
 from .forward_backward import CpdProblem, StepState, fb_step, solve_direction
 from .rng import STREAM_PROBE, substream
-from .tensors import CpdPoint, DenseTensor
+from .tensors import CpdPoint, DenseTensor, format_float
 
 __all__ = [
     "SolverConfig",
@@ -76,15 +76,12 @@ class SolverConfig:
     epsilon: float = 1e-20
     max_iters: int = 2000
     max_tau_halvings: int = 5
-    lipschitz_fd_step: float = 1e-6
     cauchy_floor: bool = True
     cauchy_reciprocal: bool = True
     jacobian_convention: int = 0
     box_bound: float | None = None
-    feas_tol: float = 1e-10
     seed: int = 0
     max_gamma_halvings: int = 60
-    gn_enabled: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -97,8 +94,6 @@ class SolverConfig:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.max_tau_halvings < 0:
             raise ValueError(f"max_tau_halvings must be nonnegative, got {self.max_tau_halvings}")
-        if not self.lipschitz_fd_step > 0.0:
-            raise ValueError(f"lipschitz_fd_step must be positive, got {self.lipschitz_fd_step}")
         if self.jacobian_convention not in (0, 1):
             raise ValueError(f"jacobian_convention must be 0 or 1, got {self.jacobian_convention}")
         if self.box_bound is not None and not self.box_bound > 0.0:
@@ -163,11 +158,11 @@ class SolverTrace:
         for rec in self.records:
             row = [
                 rec.k,
-                _fmt(rec.fz),
-                _fmt(rec.fbe),
-                _fmt(rec.rnorm),
-                _fmt(rec.gamma),
-                _fmt(rec.tau),
+                format_float(rec.fz),
+                format_float(rec.fbe),
+                format_float(rec.rnorm),
+                format_float(rec.gamma),
+                format_float(rec.tau),
                 rec.gamma_halvings,
                 rec.tau_halvings,
                 rec.kind,
@@ -176,17 +171,13 @@ class SolverTrace:
                 rec.gramian_applies,
             ]
             if self.has_reference:
-                row.append("" if rec.err is None else _fmt(rec.err))
+                row.append("" if rec.err is None else format_float(rec.err))
             writer.writerow(row)
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(self.to_csv_string())
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 @dataclass(frozen=True)
@@ -200,6 +191,10 @@ class SolverResult:
     @property
     def converged(self) -> bool:
         return self.reason == "tolerance"
+
+
+# Finite-difference spacing of the Lipschitz probe, per unit of 1 + ||x0||.
+LIPSCHITZ_FD_STEP = 1e-6
 
 
 def estimate_lipschitz(gradient_fn, x0: np.ndarray, step: float, seed: int) -> float:
@@ -285,13 +280,29 @@ def panoc_solve(
     (trace attached) if the objective or gradient blows up, and
     :class:`ValueError` on a NaN or inf in the data or in ``x0``.
     """
+    return _solve(tensor, x0, cfg, reference, gauss_newton=True)
+
+
+def pgd_solve(
+    tensor: DenseTensor,
+    x0: CpdPoint,
+    cfg: SolverConfig | None = None,
+    reference: CpdPoint | None = None,
+) -> SolverResult:
+    """Plain projected-gradient descent: the same driver without the
+    Gauss-Newton direction, trace for trace."""
+    return _solve(tensor, x0, cfg, reference, gauss_newton=False)
+
+
+def _solve(tensor: DenseTensor, x0: CpdPoint, cfg: SolverConfig | None, reference: CpdPoint | None,
+           gauss_newton: bool) -> SolverResult:
     if cfg is None:
         cfg = SolverConfig()
     structure = x0.structure
     if structure.dims != tensor.dims:
         raise ValueError(f"start point dims {structure.dims} do not match tensor {tensor.dims}")
     _check_finite(tensor, x0)
-    fset = FeasibleSet(structure, cfg.box_bound, cfg.feas_tol)
+    fset = FeasibleSet(structure, cfg.box_bound)
     problem = CpdProblem(tensor, fset, EvalCounters())
     trace = SolverTrace(has_reference=reference is not None)
 
@@ -299,7 +310,10 @@ def panoc_solve(
         return None if reference is None else matched_distance(point, reference)
 
     try:
-        return _panoc_loop(problem, project(fset, x0.flat), cfg, trace, error_at)
+        # every value that decides the solve is checked, so an overflow on
+        # the way there needs no numpy warning
+        with np.errstate(all="ignore"):
+            return _panoc_loop(problem, project(fset, x0.flat), cfg, trace, error_at, gauss_newton)
     except FloatingPointError as exc:
         raise NonFiniteError(str(exc), trace) from exc
 
@@ -325,26 +339,10 @@ def _check_finite(tensor: DenseTensor, x0: CpdPoint) -> None:
     raise ValueError(f"start point has a non-finite value {x0.flat[i]} at {where}")
 
 
-def pgd_solve(
-    tensor: DenseTensor,
-    x0: CpdPoint,
-    cfg: SolverConfig | None = None,
-    reference: CpdPoint | None = None,
-) -> SolverResult:
-    """Plain projected-gradient descent: the same driver with the
-    Gauss-Newton direction disabled, trace for trace."""
-    if cfg is None:
-        cfg = SolverConfig()
-    return panoc_solve(tensor, x0, replace(cfg, gn_enabled=False, max_tau_halvings=0), reference)
-
-
-def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace: SolverTrace, error_at) -> SolverResult:
+def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, gauss_newton: bool) -> SolverResult:
     counters = problem.counters
     lip = estimate_lipschitz(
-        lambda v: problem.gradient(problem.point(v)),
-        start.flat,
-        cfg.lipschitz_fd_step,
-        cfg.seed,
+        lambda v: problem.gradient(problem.point(v)), start.flat, LIPSCHITZ_FD_STEP, cfg.seed
     )
     gamma = cfg.alpha / lip
     state = fb_step(problem, start, gamma)
@@ -396,7 +394,7 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace: SolverTrace,
             return finish(state, base, "max-iters")
 
         direction = None
-        if cfg.gn_enabled and not state.degenerate:
+        if gauss_newton and not state.z.degenerate:
             try:
                 d, report = solve_direction(state, cfg)
                 if not report.breakdown:

@@ -35,6 +35,7 @@ __all__ = [
     "residual_values",
     "objective_value",
     "mttkrps",
+    "format_float",
     "ten_read",
     "ten_write",
 ]
@@ -458,7 +459,8 @@ def _half_mttkrps(partial: np.ndarray, factors: list[np.ndarray]) -> list[np.nda
 # with 17 significant digits so float64 round-trips exactly.
 
 
-def _format_float(v: float) -> str:
+def format_float(v: float) -> str:
+    """A float as text with 17 significant digits, which round-trips."""
     return format(float(v), ".17g")
 
 
@@ -467,7 +469,7 @@ def ten_write(path, tensor: DenseTensor) -> None:
         fh.write(f"{tensor.num_modes}\n")
         fh.write(" ".join(str(d) for d in tensor.dims) + "\n")
         for v in tensor.values:
-            fh.write(_format_float(v) + "\n")
+            fh.write(format_float(v) + "\n")
 
 
 def ten_read(path) -> DenseTensor:

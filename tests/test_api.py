@@ -1,0 +1,25 @@
+"""The package's public surface: the README's library example runs on it,
+and every name it exports resolves."""
+
+import re
+from pathlib import Path
+
+import ncpd
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    code = re.search(r"## Library\n+```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out.split()[0] == "tolerance"
+
+
+def test_every_exported_name_resolves():
+    assert len(set(ncpd.__all__)) == len(ncpd.__all__)
+    for name in ncpd.__all__:
+        assert hasattr(ncpd, name), name
+    namespace = {}
+    exec("from ncpd import *", namespace)
+    assert set(ncpd.__all__) <= set(namespace)

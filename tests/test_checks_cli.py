@@ -189,9 +189,11 @@ def test_config_unknown_solver_key(tensor_file, tmp_path, capsys):
     assert "alpa" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["cg_tol", "cg_maxit", "damping"])
+@pytest.mark.parametrize("key", ["cg_tol", "cg_maxit", "damping", "feas_tol", "gn_enabled", "lipschitz_fd_step"])
 def test_config_removed_cg_keys_are_unknown(key, tensor_file, tmp_path, capsys):
-    # the knobs of the old CG direction solve are rejected like any typo
+    # removed knobs (the old CG direction solve's, the unused feasibility
+    # tolerance, the direction switch and the probe's spacing) are rejected
+    # like any typo
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"solver": {key: 1}}))
     code = main(["decompose", str(tensor_file), "--rank", "2",
