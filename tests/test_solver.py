@@ -270,6 +270,7 @@ def test_nonfinite_tensor_raises_with_trace(monkeypatch):
 
 
 _COMPARE_SEED1 = InstanceSpec(seed=1)
+_FOUR_SMALL_MODES = InstanceSpec(dims=(6, 5, 4, 3), rank=4, seed=1)
 
 
 @pytest.mark.parametrize(
@@ -280,7 +281,7 @@ _COMPARE_SEED1 = InstanceSpec(seed=1)
     ]
     + [
         pytest.param(spec, scale, solve, id=f"{name}-{scale:.0e}-{solve.__name__}")
-        for name, spec in [("compare-seed1", _COMPARE_SEED1), ("6x5x4x3", InstanceSpec(dims=(6, 5, 4, 3), rank=4, seed=1))]
+        for name, spec in [("compare-seed1", _COMPARE_SEED1), ("6x5x4x3", _FOUR_SMALL_MODES)]
         for scale in (1e150, 1e160, 1e300)
         for solve in (panoc_solve, pgd_solve)
     ],
