@@ -82,7 +82,7 @@ def test_direction_zero_residual():
     assert report.converged and report.iterations == 0
 
 
-def test_cg_zero_rhs(monkeypatch):
+def test_direction_zero_rhs(monkeypatch):
     # a zero right-hand side -Jhat^T r at a nonzero residual (here a zero
     # surrogate) gives d = 0 without a solve, and counts as converged
     monkeypatch.setattr(JhatOperator, "matrix", lambda self: np.zeros((self.size, self.size)))
@@ -104,7 +104,7 @@ def test_direction_solves_normal_equations():
     assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
-def test_cg_reports_true_residual(monkeypatch):
+def test_direction_reports_true_residual(monkeypatch):
     # the reported residual is that of the returned step in the damped
     # system, not an assumed one: an inexact inner solve shows in it
     _, state, _ = make_state(3)
@@ -137,7 +137,7 @@ def test_direction_damping_shrinks_step(monkeypatch):
     assert np.linalg.norm(d1) < np.linalg.norm(d0)
 
 
-def test_cg_breakdown_on_nonfinite(monkeypatch):
+def test_direction_breakdown_on_nonfinite(monkeypatch):
     # a non-finite system is reported, without a numpy warning, and the
     # solver takes a projected-gradient step instead
     monkeypatch.setattr(GramianOperator, "dense", lambda self: np.full((self.size, self.size), np.nan))
@@ -150,7 +150,7 @@ def test_cg_breakdown_on_nonfinite(monkeypatch):
     assert [row.kind for row in result.trace] == ["pgd", "pgd", "term"]
 
 
-def test_cg_breakdown_on_indefinite(monkeypatch):
+def test_direction_breakdown_on_singular(monkeypatch):
     # a system matrix that is not positive definite (here singular: one
     # column of the surrogate is zero, so the damped normal matrix has a
     # zero row and column) is reported as a breakdown, not raised, without
