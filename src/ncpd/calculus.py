@@ -12,10 +12,11 @@ come from one cache-blocked pass over the data, and the residual is never
 built whole.
 
 The Gramian (Jacobian-transpose times Jacobian) never needs the Jacobian:
-thanks to the Kronecker structure of the Jacobian, its action on a vector
-and its dense matrix are both built from the R-by-R cross products of the
-factor matrices, at a cost independent of the tensor size.  The dense
-Jacobian itself is provided separately for diagnostics on small problems.
+thanks to the Kronecker structure of the Jacobian, its action on a vector,
+its quadratic form and its dense matrix are all built from the R-by-R
+cross products of the factor matrices, at a cost independent of the tensor
+size.  The dense Jacobian itself is provided separately for diagnostics on
+small problems.
 """
 
 from __future__ import annotations
@@ -106,16 +107,13 @@ class GramianOperator:
     Construction caches the per-mode R-by-R factor cross products, their
     Hadamard products over all modes but one or two, and those products
     scaled by the weights (``λλᵀ∘W``), with the factors stacked per run of
-    equal-size modes.  The caches take about as long to build as the
-    per-apply products they replace, so an operator applied once (the
-    stepsize floor of every accepted step) is no slower for them.  An apply
-    then costs O(N^2 R^2 + R^2 sum(dims)), with no dependence on the tensor
-    size: three stacked R-by-R matrix products per run of equal-size modes
-    plus O(N) elementwise passes over R-by-R arrays.  The operator is
-    symmetric positive semidefinite with a null space of dimension at least
-    N*R at generic points, spanned by the per-term rescaling directions
-    (see :func:`kernel_basis`).  :meth:`dense` assembles and keeps its
-    matrix from the same caches.
+    equal-size modes.  An apply then costs O(N^2 R^2 + R^2 sum(dims)), with
+    no dependence on the tensor size: three stacked R-by-R matrix products
+    per run of equal-size modes plus O(N) elementwise passes over R-by-R
+    arrays.  The operator is symmetric positive semidefinite with a null
+    space of dimension at least N*R at generic points, spanned by the
+    per-term rescaling directions (see :func:`kernel_basis`).
+    :meth:`dense` assembles and keeps its matrix from the same caches.
     """
 
     def __init__(self, point: CpdPoint, counters: EvalCounters | None = None):
@@ -281,20 +279,51 @@ def cauchy_scale(
     reciprocal: bool = False,
     op: GramianOperator | None = None,
 ) -> float:
-    """Curvature scale of the Gramian along ``g``, via one Gramian apply.
+    """Curvature scale of the Gramian along ``g``.
 
     Returns the Rayleigh quotient ``g.G.g / g.g`` or, with ``reciprocal``,
-    its inverse ``g.g / g.G.g`` (a stepsize-scale quantity).  Raises on a
-    zero direction; the reciprocal of a flat direction comes out ``inf`` and
-    is left to the caller to ignore.
+    its inverse ``g.g / g.G.g`` (a stepsize-scale quantity).  ``g.G.g``
+    comes from one apply of ``op`` when one is given, and otherwise from
+    R-by-R products alone, without building an operator.  Raises on a
+    zero direction; the reciprocal of a flat direction comes out ``inf``
+    and is left to the caller to ignore.
     """
     g = np.asarray(g, dtype=np.float64)
     den = float(g @ g)
     if den == 0.0:
         raise ValueError("cannot take a curvature scale along the zero direction")
-    if op is None:
-        op = GramianOperator(point)
-    num = float(g @ op.apply(g))
+    num = _gramian_form(point, g) if op is None else float(g @ op.apply(g))
     if reciprocal:
         return den / num if num > 0.0 else math.inf
     return num / den
+
+
+def _gramian_form(point: CpdPoint, v: np.ndarray) -> float:
+    """``v.G.v = ||J v||^2`` from R-by-R products alone, with no operator.
+
+    ``J v`` sums, over the terms r, the part linear in ε of the rank-1
+    tensor ``(λ_r + ε v_w[r]) ⊗_n (a_r^(n) + ε v_r^(n))``, with ``v_w`` the
+    weights' block of ``v`` and ``V_n`` its factor-shaped blocks.  Moving
+    the weights into mode 0, as ``A_0 Λ`` and ``V_0 Λ + A_0 diag(v_w)``,
+    leaves the factors alone: with ``C_n = A_n^T A_n``, ``D_n = A_n^T V_n``
+    and ``E_n = V_n^T V_n`` (one stacked product of ``[A_n | V_n]`` per run
+    of equal-size modes) and ``W_n``, ``W_nm`` the Hadamard products of the
+    ``C`` of all modes but n (resp. n and m), the form is the sum of the
+    entries of ``sum_n W_n∘E_n + sum_{n != m} W_nm∘D_n^T∘D_m``.
+    """
+    s = point.structure
+    rank = s.rank
+    x, lam = point.flat, point.weights
+    cross = np.empty((s.num_modes, 2 * rank, 2 * rank))
+    for sl, modes, dim in s.mode_groups:
+        # per mode of the run, the columns of A_n and then those of V_n, as rows
+        a = x[sl].reshape(-1, rank, dim)
+        rows = np.concatenate((a, v[sl].reshape(-1, rank, dim)), axis=1)
+        if modes.start == 0:
+            rows[0] *= np.concatenate((lam, lam))[:, None]
+            rows[0, rank:] += v[s.weight_slice, None] * a[0]
+        np.matmul(rows, rows.transpose(0, 2, 1), out=cross[modes])
+    c, d, e = cross[:, :rank, :rank], cross[:, :rank, rank:], cross[:, rank:, rank:]
+    others, rest = _mode_indices(s.num_modes)
+    pairs = _hadamard(c, rest) * d.transpose(0, 2, 1)[:, None] * d[others]
+    return float((_hadamard(c, others) * e).sum() + pairs.sum())

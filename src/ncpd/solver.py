@@ -440,12 +440,12 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, ga
             g = cand.grad
             gg = float(g @ g)
             if gg > 0.0:
-                eta = cauchy_scale(
-                    cand.point,
-                    g,
-                    reciprocal=cfg.cauchy_reciprocal,
-                    op=cand.gramian(),
-                )
+                # A Gauss-Newton step's next direction solve reuses the
+                # operator; a projected-gradient step needs none.
+                op = cand.gramian() if gauss_newton else None
+                if op is None:
+                    counters.gramian_applies += 1
+                eta = cauchy_scale(cand.point, g, reciprocal=cfg.cauchy_reciprocal, op=op)
                 if np.isfinite(eta) and eta > gamma:
                     gamma = eta
                     cand = cand.with_gamma(gamma)

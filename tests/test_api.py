@@ -1,10 +1,14 @@
 """The package's public surface: the README's library example runs on it,
-and every name it exports resolves."""
+every name it exports resolves, and the README's configuration block
+lists the solver's fields."""
 
+import dataclasses
+import json
 import re
 from pathlib import Path
 
 import ncpd
+from ncpd.solver import SolverConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +27,10 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from ncpd import *", namespace)
     assert set(ncpd.__all__) <= set(namespace)
+
+
+def test_readme_solver_block_names_every_config_field():
+    text = README.read_text(encoding="utf-8")
+    block = json.loads(re.search(r"### Configuration\n.*?```json\n(.*?)```", text, re.S).group(1))
+    defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+    assert block["solver"] == defaults

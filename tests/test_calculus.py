@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ncpd.tensors as tensors
@@ -301,6 +301,38 @@ def test_cauchy_scale_matches_quadratic_form(rng):
     g = rng.standard_normal(structure.size)
     want = float(g @ dense @ g) / float(g @ g)
     assert cauchy_scale(point, g) == pytest.approx(want, rel=1e-12)
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=2, max_size=5).map(tuple),
+    st.integers(1, 6),
+    st.sampled_from(["none", "weight", "column"]),
+    st.integers(0, 2**32 - 1),
+)
+@example((3, 3, 2), 3, "weight", 1)
+@example((2, 4, 4, 1), 2, "column", 2)
+@settings(max_examples=60, deadline=None)
+def test_cauchy_scale_matches_quadratic_form_over_shapes(dims, rank, zero, seed):
+    # The form from R-by-R products (no operator given) against the dense
+    # Jacobian and the operator's apply, over runs of equal-size modes and
+    # mixed sizes, with a zero weight or an all-zero factor column.  g.G.g
+    # can cancel to far below its terms, so the error is measured relative
+    # to the same form on absolute values, the scale of its rounding.
+    rng = np.random.default_rng(seed)
+    factors = [rng.uniform(0.0, 1.0, (d, rank)) for d in dims]
+    weights = rng.uniform(0.5, 2.0, rank)
+    if zero == "weight":
+        weights[rng.integers(rank)] = 0.0
+    elif zero == "column":
+        factors[rng.integers(len(dims))][:, rng.integers(rank)] = 0.0
+    point = CpdPoint(factors, weights)
+    g = rng.standard_normal(point.structure.size)
+    jac = explicit_jacobian(point)
+    gg = float(g @ g)
+    tol = 1e-12 * float(np.sum((np.abs(jac) @ np.abs(g)) ** 2)) / gg
+    got = cauchy_scale(point, g)
+    assert abs(got - float(np.sum((jac @ g) ** 2)) / gg) <= tol
+    assert abs(got - cauchy_scale(point, g, op=GramianOperator(point))) <= tol
 
 
 def test_cauchy_scale_scale_invariant(rng):

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import random_feasible, strictly_positive_point
 from ncpd.constraints import FeasibleSet, project
-from ncpd.calculus import EvalCounters, explicit_jacobian
+from ncpd.calculus import EvalCounters, GramianOperator, explicit_jacobian
 from ncpd.experiments import InstanceSpec, gen_inexact_instance, random_feasible_point
 from ncpd.forward_backward import CpdProblem, fb_step
 from ncpd.solver import (
@@ -461,6 +461,19 @@ def test_cauchy_floor_can_raise_gamma():
     with_floor = panoc_solve(tensor, start, SolverConfig(cauchy_floor=True))
     gammas = [r.gamma for r in with_floor.trace.records]
     assert any(b > a for a, b in zip(gammas, gammas[1:]))
+
+
+def test_pgd_floor_builds_no_gramian_operator(monkeypatch):
+    # a projected-gradient step takes its curvature product from R-by-R
+    # products; the trace still counts one product per accepted step
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a projected-gradient solve built a GramianOperator")
+
+    monkeypatch.setattr(GramianOperator, "__init__", refuse)
+    structure, tensor, planted = small_exact(29)
+    res = pgd_solve(tensor, perturbed(planted, 19, scale=0.3), SolverConfig(max_iters=30))
+    assert len(res.trace) > 1
+    assert [r.gramian_applies for r in res.trace] == list(range(len(res.trace)))
 
 
 def test_verbatim_floor_runs():
