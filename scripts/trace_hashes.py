@@ -36,6 +36,12 @@ Groups:
   of study seed 1 from its study start point, 3 Gauss-Newton or 100
   projected-gradient iterations.
 
+After the groups, one ``exact`` line gives, per shape of the exact-fit
+instances ((10,10,10) rank 5 with the study's 10 zeros per factor; (7,5),
+(6,5,4,3) and (5,4,3,3,2) rank 3 with 2), how many planted points of seeds
+1-20 evaluate to exactly f = 0 on the tensor built from them.
+``--baseline`` gives no verdict on it and skips it in the saved output.
+
 BLAS runs on one thread, so that the results do not depend on the thread
 count of the machine.
 """
@@ -63,10 +69,16 @@ from ncpd.experiments import (  # noqa: E402
     random_feasible_point,
 )
 from ncpd.solver import SolverConfig, panoc_solve, pgd_solve  # noqa: E402
+from ncpd.tensors import objective_value  # noqa: E402
 
 LARGE = InstanceSpec(dims=(30, 30, 30, 30), rank=8, seed=1)
 STEP_COLUMNS = ("k", "gh", "th", "kind", "fevals", "gevals", "gapplies")
 QUADRATIC_SEEDS = range(1, 51)
+EXACT_SPECS = [InstanceSpec()] + [
+    InstanceSpec(dims=dims, rank=3, zeros_per_factor=2, negative_entries_per_factor=2)
+    for dims in [(7, 5), (6, 5, 4, 3), (5, 4, 3, 3, 2)]
+]
+EXACT_SEEDS = range(1, 21)
 
 
 def quadratic():
@@ -126,6 +138,19 @@ GROUPS = {
 }
 
 
+def exact_line() -> str:
+    """Per exact-fit shape, the count of seeds whose planted point
+    evaluates to exactly 0."""
+    counts = []
+    for spec in EXACT_SPECS:
+        hits = 0
+        for seed in EXACT_SEEDS:
+            tensor, planted = gen_exact_instance(replace(spec, seed=seed))
+            hits += objective_value(planted, tensor) == 0.0
+        counts.append(f"{','.join(map(str, spec.dims))}r{spec.rank}={hits}/{len(EXACT_SEEDS)}")
+    return "  ".join(["exact"] + counts)
+
+
 def select_columns(text: str, keep) -> str:
     """The trace CSV ``text`` with the columns whose names ``keep`` accepts."""
     rows = list(csv.reader(io.StringIO(text)))
@@ -170,13 +195,16 @@ def group_lines(name: str, without: str | None) -> list[str]:
 def read_baseline(path) -> dict[str, list[str]]:
     """A saved output's lines by group: a line starting with a group name
     opens or continues that group, and an indented line continues the last
-    one.  Verdict lines of an output made with ``--baseline`` are skipped."""
+    one.  Verdict lines of an output made with ``--baseline`` and the
+    ``exact`` line are skipped."""
     groups, name = {}, None
     with open(path, encoding="utf-8") as fh:
         for line in fh.read().splitlines():
             first = line.split(maxsplit=1)[0] if line.strip() else ""
             if first in GROUPS:
                 name = first
+            elif first == "exact":
+                name = None
             if name is None or line.startswith((f"{name}  same", f"{name}  rounding", f"{name}  differs")):
                 continue
             groups.setdefault(name, []).append(line)
@@ -223,6 +251,7 @@ def main(argv=None) -> int:
             lines.append(f"{name}  {verdict}")
             status = status or int(verdict != "same")
         print("\n".join(lines), flush=True)
+    print(exact_line(), flush=True)
     return status
 
 

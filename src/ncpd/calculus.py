@@ -5,11 +5,9 @@ its rank-1 sum model and the data tensor.  Everything here is expressed in
 the canonical flat layout of :mod:`ncpd.tensors`.
 
 A gradient is the residual's MTTKRPs (matricized tensor times Khatri-Rao
-products), one per mode.  For tensors of up to three modes they take one
-full pass over the residual per mode, N passes.  From four modes on, the
-objective and both halves of a dimension tree that splits the modes in two
-come from one cache-blocked pass over the data, and the residual is never
-built whole.
+products), one per mode.  The objective and both halves of a dimension
+tree that splits the modes in two come from one cache-blocked pass over
+the data, at every number of modes, and the residual is never built whole.
 
 The Gramian (Jacobian-transpose times Jacobian) never needs the Jacobian:
 thanks to the Kronecker structure of the Jacobian, its action on a vector,
@@ -54,9 +52,9 @@ def gradient(point: CpdPoint, tensor: DenseTensor) -> np.ndarray:
     """Gradient of the half squared residual norm, as a flat vector.
 
     The residual's MTTKRPs (:func:`~ncpd.tensors.mttkrps`) scaled by the
-    weights, and the weights' part from mode 0's.  That is one pass over
-    the data for ``N >= 4`` and N passes over the residual for ``N <= 3``,
-    each of cost O(R prod(dims)).
+    weights, and the weights' part from mode 0's: one pass over the data,
+    of cost O(R prod(dims)), and contractions within each half of the
+    modes.
     """
     return gradient_from_residual(point, value_and_residual(point, tensor)[1])
 

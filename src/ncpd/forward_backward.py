@@ -61,17 +61,17 @@ class CpdProblem:
     returned.  Each method raises :class:`FloatingPointError` on a
     non-finite result.
 
-    The parts of the last :meth:`objective` evaluation (the residual up to
-    three modes, the halves' partial contractions from four on; see
-    :func:`~ncpd.tensors.value_and_residual`) are kept until the next call
-    of :meth:`objective` or :meth:`value_and_gradient`, and the latter, at a
-    point with exactly the same bits, takes f and the parts from it instead
-    of evaluating again: a projected-gradient step moves to the projected
-    point whose objective the stepsize check has just evaluated.  What is
-    left of the gradient is then the MTTKRPs, which from four modes on read
-    no array of the tensor's size.  The solver passes that projected point
-    itself, so no bits need comparing.  Points are evaluated as given: the
-    solver's all come from :meth:`CpdPoint.from_flat` (:meth:`point`, or
+    The parts of the last :meth:`objective` evaluation (the halves'
+    partial contractions; see :func:`~ncpd.tensors.value_and_residual`)
+    are kept until the next call of :meth:`objective` or
+    :meth:`value_and_gradient`, and the latter, at a point with exactly the
+    same bits, takes f and the parts from it instead of evaluating again: a
+    projected-gradient step moves to the projected point whose objective
+    the stepsize check has just evaluated.  What is left of the gradient is
+    then the MTTKRPs, which read no array of the tensor's size.  The solver
+    passes that projected point itself, so no bits need comparing.  Points
+    are evaluated as given: the solver's all come from
+    :meth:`CpdPoint.from_flat` (:meth:`point`, or
     :func:`~ncpd.constraints.project`), whose row-major factors fix the
     rounding.
     """

@@ -30,7 +30,6 @@ __all__ = [
     "CpdPoint",
     "khatri_rao",
     "tensor_from_cpd",
-    "unfold_values",
     "value_and_residual",
     "residual_values",
     "objective_value",
@@ -273,29 +272,16 @@ class CpdPoint:
 
 
 def khatri_rao(matrices) -> np.ndarray:
-    """Column-wise Kronecker product of the given matrices, in order.
+    """Column-wise Kronecker product of a nonempty sequence of float64
+    matrices with equal column counts, in order, unchecked.
 
     Column ``r`` of the result is the Kronecker product of the ``r``-th
     columns, with the first matrix's index varying slowest (the last
-    matrix's index is fastest, matching ``np.kron`` on the columns).
+    matrix's index is fastest, matching ``np.kron`` on the columns).  One
+    matrix is returned as it is.
     """
-    mats = [np.asarray(m, dtype=np.float64) for m in matrices]
-    if not mats:
-        raise ValueError("need at least one matrix")
-    for m in mats:
-        if m.ndim != 2:
-            raise ValueError(f"matrices must be 2-D, got shape {m.shape}")
-    cols = mats[0].shape[1]
-    if any(m.shape[1] != cols for m in mats):
-        raise ValueError("all matrices must have the same number of columns")
-    return _khatri_rao(mats)
-
-
-def _khatri_rao(mats) -> np.ndarray:
-    """:func:`khatri_rao` of a nonempty sequence of float64 matrices with
-    equal column counts, unchecked, for the evaluation core."""
-    out = mats[0]
-    for m in mats[1:]:
+    out = matrices[0]
+    for m in matrices[1:]:
         out = (out[:, None, :] * m[None, :, :]).reshape(-1, out.shape[1])
     return out
 
@@ -314,86 +300,79 @@ def _axis_order(ndim: int, source: int, destination: int) -> tuple[int, ...]:
     return tuple(order)
 
 
+# Bytes of data per block of rows of the evaluation, small enough that a
+# block's residual stays in cache between its five uses.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _tree(point: CpdPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The dimension tree of depth one at ``point``: the Khatri-Rao
+    products of the left half's factors (modes ``h-1, ..., 0``) and of the
+    right half's (``N-1, ..., h``), ``h = N // 2``, the left one scaled by
+    the weights and transposed, and the rows of the right one per block.
+
+    The model, as the C-order (right half x left half) matrix of its flat
+    values, is ``right @ scaled``, one GEMM per block of rows."""
+    factors = point.factors
+    h = len(factors) // 2
+    left, right = khatri_rao(factors[h - 1 :: -1]), khatri_rao(factors[: h - 1 : -1])
+    return left, right, (left * point.weights).T, max(1, _BLOCK_BYTES // (8 * left.shape[0]))
+
+
 def tensor_from_cpd(point: CpdPoint, dims=None) -> DenseTensor:
-    """Evaluate the weighted rank-1 sum model at ``point`` as a dense tensor."""
+    """Evaluate the weighted rank-1 sum model at ``point`` as a dense tensor.
+
+    The model is built block by block with the GEMMs of
+    :func:`value_and_residual`, so that the data made here evaluates to a
+    residual of exactly zero at ``point``, at every number of modes."""
     structure = point.structure
     if dims is not None and tuple(int(d) for d in dims) != structure.dims:
         raise ValueError(f"point dims {structure.dims} do not match requested {tuple(dims)}")
-    factors = point.factors
-    n_modes = structure.num_modes
-    # Mode-0 unfolding of the model, then canonical column-major flatten.
-    kr = khatri_rao([factors[m] for m in range(n_modes - 1, 0, -1)])
-    mat = factors[0] @ (point.weights[:, None] * kr.T)
-    return DenseTensor(structure.dims, mat.flatten(order="F"))
-
-
-def unfold_values(values: np.ndarray, dims: tuple[int, ...], mode: int) -> np.ndarray:
-    """Mode-``mode`` unfolding of the flat canonical-order ``values`` of a
-    tensor of shape ``dims``, unchecked: rows indexed by the mode, remaining
-    indices enumerated with smaller modes varying fastest.  A view of
-    ``values`` when numpy can make one, which it always can for modes 0 and
-    N-1.
-
-    The unfolding of a model is ``A_n @ diag(w) @ K.T``, with ``K`` the
-    Khatri-Rao product of the other factor matrices in decreasing mode
-    order.
-    """
-    arr = values.reshape(dims, order="F").transpose(_axis_order(len(dims), mode, 0))
-    return np.reshape(arr, (dims[mode], -1), order="F")
-
-
-# Bytes of data per block of the evaluation of four or more modes, small
-# enough that a block's residual stays in cache between its five uses.
-_BLOCK_BYTES = 256 * 1024
+    left, right, scaled, step = _tree(point)
+    model = np.empty((right.shape[0], left.shape[0]))
+    for start in range(0, right.shape[0], step):
+        rows = slice(start, start + step)
+        np.matmul(right[rows], scaled, out=model[rows])
+    return DenseTensor(structure.dims, model.reshape(-1))
 
 
 def value_and_residual(point: CpdPoint, tensor: DenseTensor) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Half squared residual norm, and the two arrays that :func:`mttkrps`
-    needs besides the point.
+    needs besides the point: the partial contractions of the residual with
+    each half of a dimension tree of depth one.
 
-    For ``N <= 3`` these are the flat residual (model minus data) and the
-    Khatri-Rao product of the factors of modes ``N-1, ..., 1``.  The model
-    is the mode-0 unfolding of :func:`tensor_from_cpd`, written straight
-    into the flat result, so the residual equals :func:`residual_values`
-    bit for bit.  For ``N >= 4`` the modes split into a left half
-    ``0, ..., h-1`` and a right half ``h, ..., N-1``, ``h = N // 2`` (a
-    dimension tree of depth one), and the data, viewed as its C-order (right
-    half x left half) matrix, is read once, in blocks of rows of
-    ``_BLOCK_BYTES``, with no array of the tensor's size built.  Per block,
-    the model (the product of the halves' Khatri-Rao products, each in
-    decreasing mode order) is written into one reused buffer and the data
-    subtracted; that residual block's squared norm is added to f, its
-    transpose times the right half's product to the left half's partial
-    contraction, and its product with the left half's is written into the
-    right half's rows.  These two partial contractions are returned.
-    Overflow is left to the caller's finiteness check, without a warning.
+    The modes split into a left half ``0, ..., h-1`` and a right half
+    ``h, ..., N-1``, ``h = N // 2``, at every ``N >= 2``.  The data, viewed
+    as its C-order (right half x left half) matrix, is read once, in blocks
+    of rows of ``_BLOCK_BYTES``, with no array of the tensor's size built.
+    Per block, the model (the product of the halves' Khatri-Rao products,
+    each in decreasing mode order, the GEMM of :func:`tensor_from_cpd`) is
+    written into one reused buffer and the data subtracted; that residual
+    block's squared norm is added to f, its transpose times the right
+    half's product to the left half's partial contraction, and its product
+    with the left half's is written into the right half's rows.  Overflow
+    is left to the caller's finiteness check, without a warning.
     """
     if point.structure.dims != tensor.dims:
         raise ValueError(f"point dims {point.structure.dims} do not match tensor {tensor.dims}")
-    factors = point.factors
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(factors) <= 3:
-            kr = _khatri_rao(factors[:0:-1])
-            res = np.empty(tensor.size)
-            # res.reshape(-1, I_0).T is the mode-0 unfolding of the flat result
-            np.matmul(factors[0], point.weights[:, None] * kr.T, out=res.reshape(-1, tensor.dims[0]).T)
-            np.subtract(res, tensor.values, out=res)
-            return 0.5 * float(res @ res), (res, kr)
-        h = len(factors) // 2
-        left, right = _khatri_rao(factors[h - 1 :: -1]), _khatri_rao(factors[: h - 1 : -1])
-        scaled = (left * point.weights).T
+        left, right, scaled, step = _tree(point)
         data = tensor.values.reshape(right.shape[0], left.shape[0])
-        step = max(1, _BLOCK_BYTES // data.strides[0])
         buf = np.empty((min(step, data.shape[0]), data.shape[1]))
-        left_partial, right_partial = np.zeros(left.shape), np.empty(right.shape)
+        left_partial, right_partial = np.empty(left.shape), np.empty(right.shape)
         total = 0.0
         for start in range(0, data.shape[0], step):
             rows = slice(start, start + step)
-            block = buf[: right[rows].shape[0]]
-            np.matmul(right[rows], scaled, out=block)
+            right_rows = right[rows]
+            block = buf[: right_rows.shape[0]]
+            np.matmul(right_rows, scaled, out=block)
             np.subtract(block, data[rows], out=block)
-            total += float(block.reshape(-1) @ block.reshape(-1))
-            left_partial += block.T @ right[rows]
+            flat = block.reshape(-1)
+            total += float(flat @ flat)
+            if start:
+                left_partial += block.T @ right_rows
+            else:  # a matrix product sums from +0.0, so adding it to zeros would change no bit
+                np.matmul(block.T, right_rows, out=left_partial)
             np.matmul(block, left, out=right_partial[rows])
         return 0.5 * total, (left_partial, right_partial)
 
@@ -411,24 +390,11 @@ def objective_value(point: CpdPoint, tensor: DenseTensor) -> float:
 def mttkrps(point: CpdPoint, parts: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
     """Per mode ``n``, the mode-``n`` unfolding of the residual times the
     Khatri-Rao product of the other factors in decreasing mode order (the
-    MTTKRP), from the ``parts`` that :func:`value_and_residual` returned.
-
-    For ``N <= 3``, one pass over the flat residual per mode, on unfoldings
-    of the residual itself, so modes ``0`` and ``N-1`` copy nothing.  For
-    ``N >= 4``, contractions within each half of the halves' partial
-    contractions, which the evaluation's one pass over the data has built.
-    """
+    MTTKRP), from the ``parts`` that :func:`value_and_residual` returned:
+    contractions within each half of the halves' partial contractions,
+    which the evaluation's one pass over the data has built."""
     factors = point.factors
-    n_modes = len(factors)
-    if n_modes <= 3:
-        res, kr = parts
-        dims = point.structure.dims
-        out = []
-        for n in range(n_modes):
-            others = [factors[m] for m in range(n_modes - 1, -1, -1) if m != n]
-            out.append(unfold_values(res, dims, n) @ (kr if n == 0 else _khatri_rao(others)))
-        return out
-    h = n_modes // 2
+    h = len(factors) // 2
     return _half_mttkrps(parts[0], factors[:h]) + _half_mttkrps(parts[1], factors[h:])
 
 
@@ -438,15 +404,18 @@ def _half_mttkrps(partial: np.ndarray, factors: list[np.ndarray]) -> list[np.nda
     per mode, ``partial`` times the Khatri-Rao product of the half's other
     factors, summed over their joint index in increasing order, first term
     first.  The sum is an accumulate, whose order, unlike that of ``sum``,
-    does not depend on the shapes."""
+    does not depend on the shapes.  A half of one mode has no other
+    factors: its MTTKRP is ``partial`` itself."""
     k = len(factors)
+    if k == 1:
+        return [partial]
     rank = partial.shape[1]
     dims = [a.shape[0] for a in factors]
     arr = partial.reshape(dims[::-1] + [rank])  # axis k-1-n is mode n
     out = []
     for n in range(k):
         rows = arr.transpose(_axis_order(k + 1, k - 1 - n, -2)).reshape(-1, dims[n], rank)
-        kr = _khatri_rao([factors[m] for m in range(k - 1, -1, -1) if m != n])
+        kr = khatri_rao([factors[m] for m in range(k - 1, -1, -1) if m != n])
         terms = rows * kr[:, None, :]
         out.append(np.add.accumulate(terms, axis=0, out=terms)[-1])
     return out
@@ -492,6 +461,8 @@ def ten_read(path) -> DenseTensor:
         dims = tuple(int(t) for t in tokens[1 : 1 + n_modes])
     except ValueError:
         raise ValueError(f"{path}: malformed mode sizes") from None
+    if any(d < 1 for d in dims):
+        raise ValueError(f"{path}: mode sizes must be positive")
     body = tokens[1 + n_modes :]
     expected = math.prod(dims)
     if len(body) != expected:

@@ -297,12 +297,12 @@ def jhat_apply_transpose_loop(pj_apply, gram_apply, gamma, v):
     return v - pv + gamma * gram_apply(pv)
 
 
-# --- the evaluation path the flat residual core replaced --------------------
+# --- the per-mode evaluation -------------------------------------------------
 #
-# The model built as a dense tensor (mode-0 unfolding, column-major flatten,
-# the tensor object's own copy), the residual subtracted from it, copied into
-# a tensor object again, and unfolded per mode.  Same numpy calls on operands
-# of the same memory layout, so the lean evaluation must match it bit for bit.
+# The model built as a dense tensor (mode-0 unfolding, column-major flatten),
+# the residual subtracted from it, copied, and unfolded per mode.  It sums in
+# another order than the package's blocked evaluation, so it is a reference
+# within a tolerance.
 
 
 def khatri_rao_pairwise(matrices):
@@ -368,9 +368,10 @@ def gradient_via_model(factors, weights, data):
     return np.concatenate(parts)
 
 
-# --- the blocked evaluation of four or more modes ----------------------------
+# --- the blocked evaluation ---------------------------------------------------
 #
-# The modes split into a left half 0..h-1 and a right half h..N-1, h = N // 2.
+# The modes split into a left half 0..h-1 and a right half h..N-1, h = N // 2,
+# at every N >= 2; a half of one mode has the mode's factor as its product.
 # The data, viewed as its C-order (right half x left half) matrix, is taken
 # one block of rows at a time, in increasing order, as many rows per block as
 # fit in the block's bytes (at least one).  A block's residual is the
@@ -378,7 +379,9 @@ def gradient_via_model(factors, weights, data):
 # its squared norms, the left half's partial contraction sums its transpose
 # times the right half's product, and the right half's takes its rows from
 # its product with the left half's, in the same numpy calls on operands of
-# the same memory layout as the package.  The contractions within a half are
+# the same memory layout as the package, except that the package writes the
+# first block's product where this adds it to zeros, which changes no bit (a
+# matrix product sums from +0.0).  The contractions within a half are
 # plain loops over its entries, summed in increasing order of the other
 # modes' joint index, first term first.
 
@@ -391,6 +394,18 @@ def tree_products(factors):
     left = khatri_rao_pairwise([factors[m] for m in range(h - 1, -1, -1)])
     right = khatri_rao_pairwise([factors[m] for m in range(n - 1, h - 1, -1)])
     return left, right
+
+
+def blocked_model(factors, weights, block_bytes):
+    """Flat model values, one block of rows of the C-order (right half x
+    left half) matrix at a time, in the GEMMs of :func:`blocked_partials`."""
+    left, right = tree_products(factors)
+    step = max(1, block_bytes // (8 * left.shape[0]))
+    out = np.empty((right.shape[0], left.shape[0]))
+    for start in range(0, right.shape[0], step):
+        rows = slice(start, start + step)
+        out[rows] = right[rows] @ (left * weights).T
+    return out.reshape(-1)
 
 
 def blocked_partials(factors, weights, data, block_bytes):

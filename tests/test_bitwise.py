@@ -7,13 +7,13 @@ iteration counts and convergence slopes), so the fast paths of
 loops exactly, signed zeros included, and the evaluation core
 (``objective_value``, ``gradient`` and the pair
 ``value_and_residual``/``gradient_from_residual``) must reproduce a
-reference evaluation: up to three modes, the one through a dense model
-tensor and per-mode unfoldings of a copied residual; from four modes on, a
-plain loop over the data's blocks of rows in their documented order, and
-plain loops within each half of the dimension tree.  ``residual_values``
-is the residual of the dense model tensor at any number of modes.  A step
-to the point whose objective was evaluated last reuses that evaluation,
-and must return the bits of a step that evaluates afresh.
+reference evaluation at every number of modes: a plain loop over the
+data's blocks of rows in their documented order, and plain loops within
+each half of the dimension tree.  ``tensor_from_cpd`` must reproduce the
+same loop's model blocks, and ``residual_values`` that model minus the
+data, so that a planted point fits its data exactly.  A step to the point
+whose objective was evaluated last reuses that evaluation, and must return
+the bits of a step that evaluates afresh.
 """
 
 import math
@@ -28,7 +28,15 @@ import oracles
 from ncpd.calculus import EvalCounters, GramianOperator, gradient, gradient_from_residual
 from ncpd.constraints import DegenerateBlockError, FeasibleSet, proj_jacobian, project
 from ncpd.forward_backward import CpdProblem, JhatOperator, fb_step
-from ncpd.tensors import CpdPoint, CpdStructure, DenseTensor, objective_value, residual_values, value_and_residual
+from ncpd.tensors import (
+    CpdPoint,
+    CpdStructure,
+    DenseTensor,
+    objective_value,
+    residual_values,
+    tensor_from_cpd,
+    value_and_residual,
+)
 
 
 def bits(a):
@@ -211,25 +219,24 @@ def evaluations(draw):
 
 
 def reference(factors, weights, data):
-    """Objective and gradient of the reference evaluation: per mode up to
-    three modes, block by block from four."""
-    if len(factors) <= 3:
-        f, g = oracles.objective_via_model(factors, weights, data), oracles.gradient_via_model(factors, weights, data)
-    else:
-        f, g = oracles.evaluation_via_blocks(factors, weights, data, tensors._BLOCK_BYTES)
+    """Objective and gradient of the reference evaluation, block by block."""
+    f, g = oracles.evaluation_via_blocks(factors, weights, data, tensors._BLOCK_BYTES)
     return np.float64(f), g
 
 
 def assert_evaluation_matches_model_path(point, tensor):
-    want_res = oracles.residual_via_model(point.factors, point.weights, tensor.values)
-    want_f, want_g = reference(point.factors, point.weights, tensor.values)
-    assert_bitwise(residual_values(point, tensor), want_res)
+    factors, weights = point.factors, point.weights
+    want_model = oracles.blocked_model(factors, weights, tensors._BLOCK_BYTES)
+    want_f, want_g = reference(factors, weights, tensor.values)
+    _, *want_parts = oracles.blocked_partials(factors, weights, tensor.values, tensors._BLOCK_BYTES)
+    assert_bitwise(tensor_from_cpd(point).values, want_model)
+    assert_bitwise(residual_values(point, tensor), want_model - tensor.values)
     assert_bitwise(np.float64(objective_value(point, tensor)), want_f)
     assert_bitwise(gradient(point, tensor), want_g)
     value, parts = value_and_residual(point, tensor)
     assert_bitwise(np.float64(value), want_f)
-    if point.structure.num_modes <= 3:
-        assert_bitwise(parts[0], want_res)
+    for got, want in zip(parts, want_parts, strict=True):
+        assert_bitwise(got, want)
     assert_bitwise(gradient_from_residual(point, parts), want_g)
 
 
@@ -300,11 +307,14 @@ def test_kept_residual_gives_the_bits_of_a_fresh_step(case):
     assert_bitwise(again.grad, fresh.grad)
 
 
-@pytest.mark.parametrize("dims,rank,block_rows", [((30, 30, 30, 30), 8, None), ((5, 4, 1, 6, 3), 3, 4), ((2, 3, 2, 3, 2, 2), 2, 1)])
+@pytest.mark.parametrize("dims,rank,block_rows", [
+    ((30, 30, 30, 30), 8, None), ((5, 4, 1, 6, 3), 3, 4), ((2, 3, 2, 3, 2, 2), 2, 1), ((7, 5), 3, 2), ((4, 3, 5), 2, 4),
+])
 def test_kept_partials_give_the_bits_of_a_fresh_step(dims, rank, block_rows, monkeypatch):
-    # from four modes on the kept parts are the halves' partial contractions,
-    # summed over blocks of rows: 25 at the solver's size, 5 with a ragged
-    # last one, and one row each
+    # the kept parts are the halves' partial contractions, summed over
+    # blocks of rows: 25 at the solver's size, 5 with a ragged last one, one
+    # row each, and, with a left half of one mode, 3 and 4 blocks with a
+    # ragged last one
     if block_rows is not None:
         monkeypatch.setattr(tensors, "_BLOCK_BYTES", 8 * math.prod(dims[: len(dims) // 2]) * block_rows)
     structure = CpdStructure(dims, rank)

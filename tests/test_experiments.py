@@ -55,9 +55,16 @@ def test_exact_instance_zero_counts():
 
 
 def test_exact_instance_fits_exactly():
-    tensor, planted = gen_exact_instance(InstanceSpec(seed=5))
-    problem = CpdProblem(tensor, FeasibleSet(planted.structure), EvalCounters())
-    assert problem.objective(planted) == 0.0
+    # the data is multiplied out with the evaluation's own GEMMs, so the
+    # planted point fits it exactly at every number of modes
+    specs = [InstanceSpec(seed=5)] + [
+        InstanceSpec(dims=dims, rank=3, seed=5, zeros_per_factor=2, negative_entries_per_factor=2)
+        for dims in [(7, 5), (6, 5, 4, 3), (5, 4, 3, 3, 2)]
+    ]
+    for spec in specs:
+        tensor, planted = gen_exact_instance(spec)
+        problem = CpdProblem(tensor, FeasibleSet(planted.structure), EvalCounters())
+        assert problem.objective(planted) == 0.0, spec.dims
 
 
 def test_exact_instance_is_feasible():
