@@ -144,7 +144,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_check(args) -> int:
-    results = checks_mod.run_checks(scale=args.scale)
+    results = checks_mod.run_checks(scale=args.scale, seed=args.seed)
     all_ok = True
     for res in results:
         tag = "PASS" if res.passed else "FAIL"
@@ -157,8 +157,8 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ncpd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="base seed (default 1)")
+    def common(p, seed_help):
+        p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--config", type=str, default=None, help="JSON config overlay")
         p.add_argument("--rank", type=int, default=None, help="factorization rank")
         p.add_argument("--no-cauchy-floor", action="store_true", help="disable the stepsize floor heuristic")
@@ -175,17 +175,17 @@ def _parser() -> argparse.ArgumentParser:
     p_dec.add_argument("tensor", help="input tensor in .ten format")
     p_dec.add_argument("--out", type=str, default="decomposition", help="output file prefix")
     p_dec.add_argument("--pgd-only", action="store_true", help="use plain projected gradient")
-    common(p_dec)
+    common(p_dec, "seed of the start point (default: the config's seed, 0)")
 
     p_exp = sub.add_parser("experiment", help="run a seeded study")
     p_exp.add_argument("name", choices=("quadratic", "compare"))
     p_exp.add_argument("--runs", type=int, default=50, help="number of runs (default 50)")
     p_exp.add_argument("--out", type=str, default=None, help="output file prefix")
-    common(p_exp)
+    common(p_exp, "base seed; run i uses seed + i (default 1)")
 
     p_chk = sub.add_parser("check", help="run built-in diagnostic checks")
     p_chk.add_argument("--scale", choices=("tiny", "full"), default="tiny")
-    common(p_chk)
+    p_chk.add_argument("--seed", type=int, default=0, help="seed of the checks' instances (default 0)")
     return parser
 
 

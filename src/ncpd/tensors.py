@@ -18,7 +18,11 @@ Jacobians agree entry for entry without ad-hoc transpositions.
 from __future__ import annotations
 
 import functools
+import io
+import itertools
 import math
+import os
+import stat
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,6 +101,17 @@ class DenseTensor:
         if arr.ndim < 2:
             raise ValueError(f"need at least 2 modes, got {arr.ndim}")
         return cls(tuple(arr.shape), arr.flatten(order="F"))
+
+    @classmethod
+    def _owned(cls, dims: tuple[int, ...], values: np.ndarray) -> "DenseTensor":
+        """The tensor that keeps ``values``, a float64 vector of length
+        ``prod(dims)`` that the caller has just made and hands over, without
+        the copy and the checks of ``__post_init__``; ``dims`` are valid."""
+        values.setflags(write=False)
+        tensor = cls.__new__(cls)
+        object.__setattr__(tensor, "dims", dims)
+        object.__setattr__(tensor, "values", values)
+        return tensor
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
@@ -424,8 +439,13 @@ def _half_mttkrps(partial: np.ndarray, factors: list[np.ndarray]) -> list[np.nda
 # --- plain-text tensor file format ------------------------------------------
 #
 # Line 1: number of modes N.  Line 2: the N mode sizes.  Then prod(dims)
-# values, whitespace separated, in canonical flat order.  Values are written
-# with 17 significant digits so float64 round-trips exactly.
+# values in canonical flat order.  The writer puts one value per line with 17
+# significant digits, so float64 round-trips exactly; the reader takes any
+# whitespace between tokens.
+
+# Bytes per read of a tensor file: the reader holds the tensor and the tokens
+# of a chunk or two.
+_CHUNK_BYTES = 1 << 20
 
 
 def format_float(v: float) -> str:
@@ -442,35 +462,101 @@ def ten_write(path, tensor: DenseTensor) -> None:
 
 
 def ten_read(path) -> DenseTensor:
-    """Read a tensor file.  Raises :class:`ValueError`, naming the file, on
-    a malformed header, a wrong value count, or a value that is malformed
-    or not finite."""
+    """Read a tensor file chunk by chunk, in about the memory of the tensor
+    and the tokens of a chunk or two.  Raises :class:`ValueError`, naming
+    the file, on a malformed header, a wrong value count, a malformed value
+    or a value that is not finite, in that order; a bad value is named by
+    its multi-index."""
     with open(path, "rb") as fh:
-        tokens = fh.read().split()
-    if not tokens:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            return _tensor_from_tokens(path, _token_batches(fh), info.st_size)
+        data = fh.read()  # a pipe has no size to bound its value count
+    return _tensor_from_tokens(path, _token_batches(io.BytesIO(data)), len(data))
+
+
+def _token_batches(fh):
+    """The whitespace-separated tokens of a binary file, one list per chunk
+    of ``_CHUNK_BYTES``; a token cut at a chunk's end moves to the next list."""
+    carry = b""
+    while chunk := fh.read(_CHUNK_BYTES):
+        tokens = (carry + chunk).split()
+        carry = b"" if chunk[-1:].isspace() else tokens.pop()
+        yield tokens
+    if carry:
+        yield [carry]
+
+
+def _take(batches, head: list, count: int) -> list:
+    """``head`` extended by whole batches to at least ``count`` tokens, or
+    to the end of the file."""
+    while len(head) < count and (batch := next(batches, None)) is not None:
+        head += batch
+    return head
+
+
+def _read_header(path, batches, most: int):
+    """The mode sizes, and the batches of the value tokens after them.  A
+    file holds at most ``most`` tokens."""
+    head = _take(batches, [], 1)
+    if not head:
         raise ValueError(f"{path}: empty tensor file")
     try:
-        n_modes = int(tokens[0])
+        n_modes = int(head[0])
     except ValueError:
         raise ValueError(f"{path}: first token must be the number of modes") from None
     if n_modes < 2:
         raise ValueError(f"{path}: need at least 2 modes, got {n_modes}")
-    if len(tokens) < 1 + n_modes:
+    if 1 + n_modes > most or len(_take(batches, head, 1 + n_modes)) < 1 + n_modes:
         raise ValueError(f"{path}: truncated header")
     try:
-        dims = tuple(int(t) for t in tokens[1 : 1 + n_modes])
+        dims = tuple(int(t) for t in head[1 : 1 + n_modes])
     except ValueError:
         raise ValueError(f"{path}: malformed mode sizes") from None
     if any(d < 1 for d in dims):
         raise ValueError(f"{path}: mode sizes must be positive")
-    body = tokens[1 + n_modes :]
+    return dims, itertools.chain([head[1 + n_modes :]], batches)
+
+
+def _tensor_from_tokens(path, batches, size: int) -> DenseTensor:
+    # a token takes a byte and all but the last a separator, so a header that
+    # claims more values than the file can hold gets them counted, not stored
+    most = (size + 1) // 2
+    dims, batches = _read_header(path, batches, most)
     expected = math.prod(dims)
-    if len(body) != expected:
-        raise ValueError(f"{path}: expected {expected} values, found {len(body)}")
-    try:
-        values = np.array(body, dtype=np.float64)
-    except ValueError:
-        raise ValueError(f"{path}: malformed value") from None
-    if not np.isfinite(values).all():
-        raise ValueError(f"{path}: non-finite value (nan or inf)")
-    return DenseTensor(dims, values)
+    values = np.empty(expected) if expected <= most else None
+    found, malformed = 0, None
+    for batch in batches:
+        end = found + len(batch)
+        if values is not None and malformed is None and end <= expected:
+            try:
+                values[found:end] = np.array(batch, dtype=np.float64)
+            except ValueError:
+                malformed = _malformed_token(batch, found)
+        found = end
+    if found != expected:
+        raise ValueError(f"{path}: expected {expected} values, found {found}")
+    if malformed is not None:
+        i, token = malformed
+        text = token[:20].decode("ascii", "backslashreplace") + ("..." if len(token) > 20 else "")
+        raise ValueError(f"{path}: malformed value '{text}' at index {_multi_index(i, dims)}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"{path}: non-finite value {values[i]} at index {_multi_index(i, dims)}")
+    return DenseTensor._owned(dims, values)
+
+
+def _malformed_token(batch: list[bytes], offset: int) -> tuple[int, bytes]:
+    """The flat position and text of the first token of a batch that does
+    not parse, parsed one by one as the batch was."""
+    for i, token in enumerate(batch):
+        try:
+            np.array([token], dtype=np.float64)
+        except ValueError:
+            return offset + i, token
+    raise AssertionError("a batch that failed to parse has no malformed token")
+
+
+def _multi_index(flat: int, dims: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(int(i) for i in np.unravel_index(flat, dims, order="F"))

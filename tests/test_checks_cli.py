@@ -177,6 +177,18 @@ def test_decompose_seed_changes_start(tensor_file, tmp_path):
     assert ta != tb
 
 
+def test_decompose_default_seed_is_zero(tensor_file, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"solver": {"max_iters": 3, "epsilon": 1e-300}}))
+    for name, seed in (("a", []), ("b", ["--seed", "0"])):
+        main(["decompose", str(tensor_file), "--rank", "2", "--config", str(cfg_path),
+              *seed, "--out", str(tmp_path / name)])
+    outputs = sorted(p.name[2:] for p in tmp_path.glob("a.*"))
+    assert len(outputs) == 6
+    for suffix in outputs:
+        assert (tmp_path / f"a.{suffix}").read_bytes() == (tmp_path / f"b.{suffix}").read_bytes()
+
+
 # --- config overlay ----------------------------------------------------------
 
 
@@ -304,3 +316,18 @@ def test_check_command_passes_quickly(capsys):
     assert out.count("[PASS]") == len(EXPECTED_CHECKS)
     assert "[FAIL]" not in out
     assert elapsed < 10.0
+
+
+def test_check_passes_its_seed_to_the_checks(monkeypatch):
+    calls = []
+    monkeypatch.setattr("ncpd.checks.run_checks", lambda **kwargs: calls.append(kwargs) or [])
+    assert main(["check", "--seed", "3"]) == 0
+    assert main(["check"]) == 0
+    assert calls == [{"scale": "tiny", "seed": 3}, {"scale": "tiny", "seed": 0}]
+
+
+@pytest.mark.parametrize("flag", [["--rank", "3"], ["--convention", "1"], ["--config", "c.json"],
+                                  ["--no-cauchy-floor"]])
+def test_check_rejects_solver_flags(flag):
+    with pytest.raises(SystemExit):
+        main(["check", *flag])

@@ -1,9 +1,15 @@
+import os
+import threading
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ncpd import tensors
 from ncpd.tensors import (
     CpdPoint,
     CpdStructure,
@@ -320,6 +326,95 @@ def test_ten_read_bad_header(tmp_path):
         with pytest.raises(ValueError, match=message) as info:
             ten_read(path)
         assert str(info.value) == f"{path}: {message}"
+
+
+blanks = st.text(alphabet=" \t\n\r", min_size=1, max_size=4)
+spellings = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
+    ["1E5", "+.5", "-3.", "1_000", "-0", "0.000000000000000000000000001", "123456789012345678901234"]
+)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_ten_read_chunk_boundaries(tmp_path_factory, data):
+    # any run of blanks between tokens, with or without one at the end, read
+    # in chunks of 1 to 64 bytes: tokens and the header are cut anywhere
+    dims = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=4).map(tuple))
+    texts = data.draw(st.lists(spellings, min_size=int(np.prod(dims)), max_size=int(np.prod(dims))))
+    tokens = [str(len(dims)), *map(str, dims), *texts]
+    gaps = data.draw(st.lists(blanks, min_size=len(tokens), max_size=len(tokens)))
+    gaps[-1] = data.draw(st.sampled_from(["", gaps[-1]]))
+    path = tmp_path_factory.mktemp("ten") / "t.ten"
+    path.write_text(data.draw(st.sampled_from(["", " \n"])) + "".join(t + g for t, g in zip(tokens, gaps)))
+    with mock.patch.object(tensors, "_CHUNK_BYTES", data.draw(st.integers(1, 64))):
+        back = ten_read(path)
+    want = np.array([float(t) for t in texts])
+    assert back.dims == dims
+    assert np.array_equal(back.values.view(np.uint64), want.view(np.uint64))
+
+
+def test_ten_read_memory_stays_near_the_tensor(tmp_path, rng):
+    # about 100k values read in 4 KiB chunks: the tensor and little more
+    tensor = DenseTensor((50, 40, 50), rng.standard_normal(100_000))
+    path = tmp_path / "t.ten"
+    ten_write(path, tensor)
+    with mock.patch.object(tensors, "_CHUNK_BYTES", 4096):
+        tracemalloc.start()
+        try:
+            back = ten_read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(back.values, tensor.values)
+    assert peak < 2 * tensor.values.nbytes
+
+
+def test_ten_read_counts_values_a_header_claims_beyond_the_file(tmp_path):
+    path = tmp_path / "bad.ten"
+    path.write_text("2\n1000000 1000000\n1.0\n2.0\n3.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            ten_read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{path}: expected 1000000000000 values, found 3"
+    assert peak < 4 * tensors._CHUNK_BYTES  # the buffer of one read, no array
+
+
+def test_ten_read_reports_a_wrong_count_before_a_malformed_value(tmp_path):
+    path = tmp_path / "bad.ten"
+    path.write_text("2\n2 2\n1.0\nabc\n3.0\n")
+    with pytest.raises(ValueError) as info:
+        ten_read(path)
+    assert str(info.value) == f"{path}: expected 4 values, found 3"
+
+
+def test_ten_read_names_the_bad_entry(tmp_path):
+    path = tmp_path / "bad.ten"
+    path.write_text("3\n2 2 2\n1 2 nan 4 5 inf 7 8\n")
+    with pytest.raises(ValueError) as info:
+        ten_read(path)
+    assert str(info.value) == f"{path}: non-finite value nan at index (0, 1, 0)"
+    long = "1.5" + "x" * 30
+    path.write_text(f"3\n2 2 2\n1 2 3 4 5 6 {long} nan\n")
+    with mock.patch.object(tensors, "_CHUNK_BYTES", 8):
+        with pytest.raises(ValueError) as info:
+            ten_read(path)
+    assert str(info.value) == f"{path}: malformed value '{long[:20]}...' at index (0, 1, 1)"
+
+
+def test_ten_read_from_a_pipe(tmp_path):
+    # a pipe has no size, so the reader takes it whole before parsing
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=("2\n2 1\n1.5\n-2\n",), daemon=True)
+    writer.start()
+    back = ten_read(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert back.dims == (2, 1) and back.values.tolist() == [1.5, -2.0]
 
 
 # --- validation -------------------------------------------------------------
