@@ -39,8 +39,13 @@ Groups:
 After the groups, one ``exact`` line gives, per shape of the exact-fit
 instances ((10,10,10) rank 5 with the study's 10 zeros per factor; (7,5),
 (6,5,4,3) and (5,4,3,3,2) rank 3 with 2), how many planted points of seeds
-1-20 evaluate to exactly f = 0 on the tensor built from them.
-``--baseline`` gives no verdict on it and skips it in the saved output.
+1-20 evaluate to exactly f = 0 on the tensor built from them.  Then one
+``memory`` line gives, from one fresh process per group, the growth of
+``ru_maxrss`` over the ``large-gn`` solve (the peak resident memory that
+solve adds, in MB) and the minor page faults per ``compare-gn`` and
+``large-gn`` solve (``ru_minflt``).  These figures vary from run to run;
+``--baseline`` gives no verdict on the ``exact`` and ``memory`` lines and
+skips them in the saved output.
 
 BLAS runs on one thread, so that the results do not depend on the thread
 count of the machine.
@@ -55,7 +60,10 @@ import argparse  # noqa: E402
 import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import multiprocessing  # noqa: E402
+import resource  # noqa: E402
 import sys  # noqa: E402
+from concurrent.futures import ProcessPoolExecutor  # noqa: E402
 from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -151,6 +159,42 @@ def exact_line() -> str:
     return "  ".join(["exact"] + counts)
 
 
+def solve_usage(name: str) -> tuple[int, int]:
+    """The growth of ``ru_maxrss`` (KiB) and the minor faults per solve over
+    the solves of a Gauss-Newton group, set-up left out."""
+    make_group = {"compare-gn": compare, "large-gn": lambda solve: large(solve, 3)}[name]
+    usage = []
+
+    def metered(*args):
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        result = panoc_solve(*args)
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        usage.append((after.ru_maxrss - before.ru_maxrss, after.ru_minflt - before.ru_minflt))
+        return result
+
+    list(make_group(metered)())
+    grown, faults = map(sum, zip(*usage))
+    return grown, faults // len(usage)
+
+
+def memory_line() -> str:
+    """:func:`solve_usage` of ``large-gn`` and ``compare-gn``, each in a
+    fresh process, so that neither sees what this one or the other has
+    allocated and freed.  A new process starts from the ``ru_maxrss`` of
+    the one that forks it, so this must run before the groups raise it."""
+    usage = {}
+    spawn = multiprocessing.get_context("spawn")
+    for name in ("compare-gn", "large-gn"):
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            usage[name] = pool.submit(solve_usage, name).result()
+    return "  ".join([
+        "memory",
+        f"large-gn maxrss_growth={usage['large-gn'][0] / 1024:.1f}MB",
+        f"compare-gn minflt_per_solve={usage['compare-gn'][1]}",
+        f"large-gn minflt_per_solve={usage['large-gn'][1]}",
+    ])
+
+
 def select_columns(text: str, keep) -> str:
     """The trace CSV ``text`` with the columns whose names ``keep`` accepts."""
     rows = list(csv.reader(io.StringIO(text)))
@@ -196,14 +240,14 @@ def read_baseline(path) -> dict[str, list[str]]:
     """A saved output's lines by group: a line starting with a group name
     opens or continues that group, and an indented line continues the last
     one.  Verdict lines of an output made with ``--baseline`` and the
-    ``exact`` line are skipped."""
+    ``exact`` and ``memory`` lines are skipped."""
     groups, name = {}, None
     with open(path, encoding="utf-8") as fh:
         for line in fh.read().splitlines():
             first = line.split(maxsplit=1)[0] if line.strip() else ""
             if first in GROUPS:
                 name = first
-            elif first == "exact":
+            elif first in ("exact", "memory"):
                 name = None
             if name is None or line.startswith((f"{name}  same", f"{name}  rounding", f"{name}  differs")):
                 continue
@@ -216,7 +260,7 @@ def fields(line: str) -> dict[str, str]:
     return dict(item.split("=", 1) for item in line.split("  ") if "=" in item)
 
 
-def compare(lines: list[str], baseline: list[str] | None) -> str:
+def group_verdict(lines: list[str], baseline: list[str] | None) -> str:
     """The verdict on a group's lines against the baseline's."""
     if baseline == lines:
         return "same"
@@ -243,15 +287,17 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown groups: {', '.join(sorted(unknown))}")
     baseline = read_baseline(args.baseline) if args.baseline else None
+    memory = memory_line()  # printed last, measured before the groups
     status = 0
     for name in args.groups or GROUPS:
         lines = group_lines(name, args.without)
         if baseline is not None:
-            verdict = compare(lines, baseline.get(name))
+            verdict = group_verdict(lines, baseline.get(name))
             lines.append(f"{name}  {verdict}")
             status = status or int(verdict != "same")
         print("\n".join(lines), flush=True)
     print(exact_line(), flush=True)
+    print(memory, flush=True)
     return status
 
 

@@ -111,7 +111,7 @@ class GramianOperator:
     arrays.  The operator is symmetric positive semidefinite with a null
     space of dimension at least N*R at generic points, spanned by the
     per-term rescaling directions (see :func:`kernel_basis`).
-    :meth:`dense` assembles and keeps its matrix from the same caches.
+    :meth:`dense` assembles its matrix from the same caches.
     """
 
     def __init__(self, point: CpdPoint, counters: EvalCounters | None = None):
@@ -138,7 +138,6 @@ class GramianOperator:
         self._lw_except = lam_outer * w_except
         self._lw_pair = lam_outer * _hadamard(cross, rest)
         self._lam_w_except = lam[:, None] * w_except
-        self._dense = None
 
     @property
     def size(self) -> int:
@@ -177,8 +176,9 @@ class GramianOperator:
         return out
 
     def dense(self) -> np.ndarray:
-        """The Gramian as a dense matrix, assembled on the first call in
-        O(size^2) from the cached cross products and kept, read-only.
+        """The Gramian as a dense matrix, assembled afresh on every call in
+        O(size^2) from the cached cross products and handed to the caller,
+        writable; nothing keeps it.
         With ``W_n``, ``W_nm`` the Hadamard products of the cross products
         of all modes but n (resp. n and m), the entry of factor entries
         (n, r, i) and (m, s, j) is
@@ -186,8 +186,6 @@ class GramianOperator:
         ``λ_r λ_s W_n[r, s] δ_ij`` for n = m; a factor entry (n, r, i) and a
         weight s give ``λ_r W_n[r, s] a_s^(n)[i]``, and two weights the
         Hadamard product of all cross products."""
-        if self._dense is not None:
-            return self._dense
         s = self.point.structure
         dims, rank, factors = s.dims, s.rank, self.point.factors
         rows = [slice(s.mode_offset(n), s.mode_offset(n) + rank * d) for n, d in enumerate(dims)]
@@ -203,8 +201,6 @@ class GramianOperator:
             g[rows[n], ws] = (self._lam_w_except[n][:, None, :] * a_n).reshape(-1, rank)
             g[ws, rows[n]] = g[rows[n], ws].T
         g[ws, ws] = self._w_all
-        g.setflags(write=False)
-        self._dense = g
         return g
 
 

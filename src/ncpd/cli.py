@@ -100,6 +100,14 @@ def cmd_decompose(args) -> int:
     except NonFiniteError as exc:
         exc.trace.write_csv(f"{out}.trace.csv")  # the rows logged before the failure
         raise
+    except MemoryError:
+        if args.pgd_only:
+            raise
+        n = structure.size
+        raise RuntimeError(
+            f"out of memory: the Gauss-Newton direction system has size n = {n}, and its solve "
+            f"holds two n-by-n float64 arrays, 16n^2 = {16 * n * n} bytes; try --pgd-only"
+        ) from None
     for n, factor in enumerate(result.point.factors):
         ten_write(f"{out}.factor{n + 1}.ten", DenseTensor.from_array(factor))
     ten_write(f"{out}.lambda.ten", DenseTensor.from_array(result.point.weights[:, None]))

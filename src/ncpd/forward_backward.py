@@ -249,10 +249,12 @@ class JhatOperator:
 
     def matrix(self) -> np.ndarray:
         """The surrogate as a dense ``(size, size)`` matrix: ``P`` applied
-        to the columns of ``I - gamma G``, with ``G`` the Gramian's kept
-        dense matrix, which the stepsize halvings at one point share."""
+        to the columns of ``I - gamma G``.  ``G`` is assembled afresh and
+        scaled in place, so at most two ``(size, size)`` arrays are live:
+        ``I - gamma G`` and the result."""
         diagonal = slice(None, None, self.size + 1)
-        jac = self.gram.dense() * -self.gamma
+        jac = self.gram.dense()
+        jac *= -self.gamma
         jac.flat[diagonal] += 1.0
         jac = self.proj_el.apply_columns(jac)
         jac *= -1.0
@@ -311,7 +313,7 @@ def solve_direction(state: StepState, cfg) -> tuple[np.ndarray, DirectionReport]
         if rhs_norm == 0.0:
             return np.zeros(size), DirectionReport(0, 0.0, True, False)
         lhs = jac.T @ jac
-        del jac  # hold at most three size-by-size arrays, the Gramian's included
+        del jac  # hold at most two size-by-size arrays: lhs and LAPACK's copy
         lhs.flat[:: size + 1] *= 1.0 + DAMPING * state.rnorm / float(np.linalg.norm(state.x))
         try:
             d = np.linalg.solve(lhs, rhs)

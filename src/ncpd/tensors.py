@@ -444,8 +444,10 @@ def _half_mttkrps(partial: np.ndarray, factors: list[np.ndarray]) -> list[np.nda
 # whitespace between tokens.
 
 # Bytes per read of a tensor file: the reader holds the tensor and the tokens
-# of a chunk or two.
-_CHUNK_BYTES = 1 << 20
+# of one chunk.  At 64 KiB a chunk's buffers stay below glibc's default
+# 128 KiB mmap threshold, so reading leaves the threshold, and with it how
+# later large arrays are allocated, as it was.
+_CHUNK_BYTES = 1 << 16
 
 
 def format_float(v: float) -> str:
@@ -477,12 +479,15 @@ def ten_read(path) -> DenseTensor:
 
 def _token_batches(fh):
     """The whitespace-separated tokens of a binary file, one list per chunk
-    of ``_CHUNK_BYTES``; a token cut at a chunk's end moves to the next list."""
+    of ``_CHUNK_BYTES``; a token cut at a chunk's end moves to the next list.
+    A list is dropped before the next chunk is split, so that only one is
+    alive when the consumer drops its own reference too."""
     carry = b""
     while chunk := fh.read(_CHUNK_BYTES):
         tokens = (carry + chunk).split()
         carry = b"" if chunk[-1:].isspace() else tokens.pop()
         yield tokens
+        del tokens
     if carry:
         yield [carry]
 
@@ -534,6 +539,7 @@ def _tensor_from_tokens(path, batches, size: int) -> DenseTensor:
             except ValueError:
                 malformed = _malformed_token(batch, found)
         found = end
+        del batch  # free this chunk's tokens before the next one is split
     if found != expected:
         raise ValueError(f"{path}: expected {expected} values, found {found}")
     if malformed is not None:

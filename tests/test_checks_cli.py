@@ -150,6 +150,24 @@ def test_decompose_writes_partial_trace_on_non_finite_value(tmp_path, capsys):
     assert not (tmp_path / "scaled.summary.json").exists()
 
 
+def test_decompose_out_of_memory_names_the_direction_system(tensor_file, tmp_path, capsys, monkeypatch):
+    # a direction system too large for memory ends in a message, not a
+    # traceback; projected gradient, which solves no such system, still runs
+    def no_memory(state, cfg):
+        raise MemoryError
+
+    monkeypatch.setattr("ncpd.solver.solve_direction", no_memory)
+    n = 2 * (6 + 5 + 4) + 2
+    code = main(["decompose", str(tensor_file), "--rank", "2", "--out", str(tmp_path / "gn")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory")
+    assert f"size n = {n}" in err and f"{16 * n * n} bytes" in err and "--pgd-only" in err
+    code = main(["decompose", str(tensor_file), "--rank", "2", "--pgd-only", "--out", str(tmp_path / "pgd")])
+    assert code in (0, 2)
+    assert (tmp_path / "pgd.summary.json").exists()
+
+
 def test_decompose_pgd_only_with_iteration_cap(tensor_file, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"solver": {"max_iters": 5, "epsilon": 1e-300}}))

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -171,7 +172,10 @@ def test_dense_gramian_matches_jacobian_and_apply(dims, rank, seed):
     tol = 1e-13 * max(1.0, float(np.abs(dense).max()))
     assert np.allclose(dense, jac.T @ jac, rtol=0.0, atol=tol)
     assert np.allclose(dense, columns(op.apply, op.size), rtol=0.0, atol=tol)
-    assert op.dense() is dense  # assembled once
+    # assembled afresh on every call, writable, with the same bits
+    again = op.dense()
+    assert again is not dense and again.flags.writeable
+    assert np.array_equal(again.view(np.uint64), dense.view(np.uint64))
 
 
 @pytest.mark.parametrize("dims,rank", [((4, 3, 2), 2), ((3, 3, 2, 2), 3), ((2, 5), 1)])
@@ -180,5 +184,30 @@ def test_jhat_matrix_matches_apply(dims, rank):
     for st_ in (state, state.with_gamma(state.gamma / 2)):
         op = jhat_operator(st_)
         assert np.allclose(op.matrix(), columns(op.apply, op.size), rtol=0.0, atol=1e-13)
-    # a stepsize halving at the same point reuses the dense Gramian
-    assert state.with_gamma(state.gamma / 2).gramian().dense() is state.gramian().dense()
+    # dense() hands out a fresh matrix: scaling it in place, as matrix()
+    # does, gives the bits of dense() * -gamma and leaves the matrix that a
+    # stepsize halving at the same point assembles as it was
+    dense = state.gramian().dense()
+    first, scaled = dense.copy(), dense * -state.gamma
+    dense *= -state.gamma
+    assert np.array_equal(dense.view(np.uint64), scaled.view(np.uint64))
+    halved = state.with_gamma(state.gamma / 2).gramian().dense()
+    assert halved.flags.writeable
+    assert np.array_equal(halved.view(np.uint64), first.view(np.uint64))
+
+
+def test_direction_solve_holds_two_size_by_size_arrays():
+    # the Gramian is not kept: one solve at size 217 peaks under 2.5 arrays
+    # of size^2 float64 (LAPACK's own copy is not traced); a kept G beside
+    # I - gamma G and Jhat would make it at least 3
+    _, state, _ = make_state(11, dims=(10, 10, 10), rank=7)
+    size = state.x.size
+    assert size >= 200
+    tracemalloc.start()
+    try:
+        d, report = solve_direction(state, SolverConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak < 2.5 * 8 * size**2

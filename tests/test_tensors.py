@@ -369,6 +369,22 @@ def test_ten_read_memory_stays_near_the_tensor(tmp_path, rng):
     assert peak < 2 * tensor.values.nbytes
 
 
+def test_ten_read_memory_at_the_default_chunk_size(tmp_path, rng):
+    # 200k values in chunks of the default size: one chunk's tokens at a
+    # time, which are small beside the tensor
+    tensor = DenseTensor((50, 40, 100), rng.standard_normal(200_000))
+    path = tmp_path / "t.ten"
+    ten_write(path, tensor)
+    tracemalloc.start()
+    try:
+        back = ten_read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, tensor.values)
+    assert peak < 1.5 * tensor.values.nbytes
+
+
 def test_ten_read_counts_values_a_header_claims_beyond_the_file(tmp_path):
     path = tmp_path / "bad.ten"
     path.write_text("2\n1000000 1000000\n1.0\n2.0\n3.0\n")
