@@ -14,11 +14,17 @@ hashes agree and ``f`` shows how far.  Run it against each checkout with
 
 With ``--baseline FILE``, the saved output of another run (with the same
 groups and options), it also prints a verdict after each group's lines:
-``<group>  same``; ``<group>  rounding  max |Δf|/f <x>`` when the
-``traces=`` hashes differ but the ``steps=`` hashes agree, with the largest
-relative change of a run's final ``f``; or ``<group>  differs``.  It exits
-with status 1 on any difference, so that a change meant to keep every bit
-is checked by one command::
+``<group>  same``; with ``--without COLUMN``, ``<group>  only COLUMN
+COLUMN <before> → <after>`` when the traces differ in that column alone
+(the ``traces-without-COLUMN=`` hashes, the ``points=`` and the ``f=``
+agree), with each run's final value of the column in the baseline and
+now; ``<group>  rounding  max |Δf|/f <x>`` when the ``traces=`` hashes
+differ but the ``steps=`` hashes agree, with the largest relative change
+of a run's final ``f``; or ``<group>  differs``.  With ``--without``, a
+group's line also gives each run's final value of the column, unless a
+field already does (``fevals``, ``gevals``, ``f``).  It exits with status
+1 on any difference, so that a change meant to keep every bit is checked
+by one command::
 
     PYTHONPATH=<parent>/src python scripts/trace_hashes.py > parent.txt
     PYTHONPATH=src python scripts/trace_hashes.py --baseline parent.txt
@@ -230,6 +236,8 @@ def group_lines(name: str, without: str | None) -> list[str]:
     line.append("fevals=" + ",".join(str(rec.fevals) for rec in finals))
     line.append("gevals=" + ",".join(str(rec.gevals) for rec in finals))
     line.append("f=" + ",".join(format(r.f, ".17g") for r in results))
+    if without and without not in fields("  ".join(line)):  # each run's last value of the column
+        line.append(f"{without}=" + ",".join(select_columns(t, without.__eq__).split("\n")[-2] for t in csvs))
     lines = ["  ".join(line)]
     if name == "quadratic":
         lines += slope_lines(results)
@@ -249,7 +257,7 @@ def read_baseline(path) -> dict[str, list[str]]:
                 name = first
             elif first in ("exact", "memory"):
                 name = None
-            if name is None or line.startswith((f"{name}  same", f"{name}  rounding", f"{name}  differs")):
+            if name is None or line.startswith(tuple(f"{name}  {v}" for v in ("same", "only", "rounding", "differs"))):
                 continue
             groups.setdefault(name, []).append(line)
     return groups
@@ -260,13 +268,18 @@ def fields(line: str) -> dict[str, str]:
     return dict(item.split("=", 1) for item in line.split("  ") if "=" in item)
 
 
-def group_verdict(lines: list[str], baseline: list[str] | None) -> str:
-    """The verdict on a group's lines against the baseline's."""
+def group_verdict(lines: list[str], baseline: list[str] | None, without: str | None = None) -> str:
+    """The verdict on a group's lines against the baseline's, ``without``
+    the column left out of the ``traces-without-`` hash."""
     if baseline == lines:
         return "same"
     if baseline is None:
         return "differs"
     ours, theirs = fields(lines[0]), fields(baseline[0])
+    agree = (f"traces-without-{without}", "points", "f", without)
+    if without and lines[1:] == baseline[1:] and all(key in theirs for key in agree) \
+            and all(ours[key] == theirs[key] for key in agree[:3]):
+        return f"only {without}  {without} {theirs[without]} → {ours[without]}"
     if ours["traces"] == theirs.get("traces") or ours["steps"] != theirs.get("steps"):
         return "differs"
     f, f_base = (np.array(d["f"].split(","), dtype=float) for d in (ours, theirs))
@@ -280,8 +293,8 @@ def main(argv=None) -> int:
                         help=f"groups to run, of {', '.join(GROUPS)} (default: all)")
     parser.add_argument("--without", metavar="COLUMN", help="also hash the traces with this column left out")
     parser.add_argument("--baseline", metavar="FILE",
-                        help="a saved output to compare with: print same, rounding or differs per group, "
-                             "exit 1 on a difference")
+                        help="a saved output to compare with: print same, only COLUMN, rounding or differs "
+                             "per group, exit 1 on a difference")
     args = parser.parse_args(argv)
     unknown = set(args.groups) - set(GROUPS)
     if unknown:
@@ -292,7 +305,7 @@ def main(argv=None) -> int:
     for name in args.groups or GROUPS:
         lines = group_lines(name, args.without)
         if baseline is not None:
-            verdict = group_verdict(lines, baseline.get(name))
+            verdict = group_verdict(lines, baseline.get(name), args.without)
             lines.append(f"{name}  {verdict}")
             status = status or int(verdict != "same")
         print("\n".join(lines), flush=True)

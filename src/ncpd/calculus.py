@@ -114,9 +114,8 @@ class GramianOperator:
     :meth:`dense` assembles its matrix from the same caches.
     """
 
-    def __init__(self, point: CpdPoint, counters: EvalCounters | None = None):
+    def __init__(self, point: CpdPoint):
         self.point = point
-        self.counters = counters
         s = point.structure
         factors = point.factors
         n, rank = s.num_modes, s.rank
@@ -147,8 +146,6 @@ class GramianOperator:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.size,):
             raise ValueError(f"expected flat length {self.size}, got {v.shape}")
-        if self.counters is not None:
-            self.counters.gramian_applies += 1
         s = self.point.structure
         n_modes, rank = s.num_modes, s.rank
         # per run, the (I_n, R) factor-shaped views of v's blocks, stacked

@@ -279,6 +279,11 @@ def _quartiles(values) -> tuple[float | None, float | None, float | None]:
     return float(q1), float(q2), float(q3)
 
 
+def _check_runs(runs: int) -> None:
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+
+
 def run_experiment_quadratic(
     runs: int = 50,
     base_seed: int = 1,
@@ -287,6 +292,7 @@ def run_experiment_quadratic(
     keep_traces: bool = False,
 ) -> ExperimentReport:
     """Exact-instance study: local convergence slopes near planted solutions."""
+    _check_runs(runs)
     if cfg is None:
         cfg = SolverConfig()
     if instance is None:
@@ -350,6 +356,7 @@ def run_experiment_compare(
     flagged as having reached different local optima and excluded from the
     win rate.
     """
+    _check_runs(runs)
     if cfg is None:
         cfg = SolverConfig()
     if instance is None:

@@ -61,16 +61,12 @@ class CpdProblem:
     returned.  Each method raises :class:`FloatingPointError` on a
     non-finite result.
 
-    The parts of the last :meth:`objective` evaluation (the halves'
-    partial contractions; see :func:`~ncpd.tensors.value_and_residual`)
-    are kept until the next call of :meth:`objective` or
-    :meth:`value_and_gradient`, and the latter, at a point with exactly the
-    same bits, takes f and the parts from it instead of evaluating again: a
-    projected-gradient step moves to the projected point whose objective
-    the stepsize check has just evaluated.  What is left of the gradient is
-    then the MTTKRPs, which read no array of the tensor's size.  The solver
-    passes that projected point itself, so no bits need comparing.  Points
-    are evaluated as given: the solver's all come from
+    An evaluation (:meth:`evaluate`) is the objective with the halves'
+    partial contractions (see :func:`~ncpd.tensors.value_and_residual`),
+    from which :meth:`value_and_gradient` finishes the gradient by the
+    MTTKRPs alone, reading no array of the tensor's size.  The problem
+    keeps no evaluation: the caller holds it and hands it back.  Points are
+    evaluated as given: the solver's all come from
     :meth:`CpdPoint.from_flat` (:meth:`point`, or
     :func:`~ncpd.constraints.project`), whose row-major factors fix the
     rounding.
@@ -84,9 +80,6 @@ class CpdProblem:
         self.tensor = tensor
         self.fset = fset
         self.counters = counters if counters is not None else EvalCounters()
-        # (flat point, f, evaluation parts) of the last objective; emptied
-        # when read, so that it is used at most once
-        self._kept = None
 
     @property
     def structure(self):
@@ -95,33 +88,24 @@ class CpdProblem:
     def point(self, x) -> CpdPoint:
         return CpdPoint.from_flat(self.structure, x)
 
-    def objective(self, point: CpdPoint) -> float:
-        """Objective at ``point``, one counted evaluation; its parts are
-        kept for :meth:`value_and_gradient` at the same point."""
-        self._kept = None  # hold one evaluation's parts at a time
+    def evaluate(self, point: CpdPoint) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+        """The objective at ``point`` and the parts of its evaluation, one
+        counted evaluation."""
         self.counters.fevals += 1
         value, parts = value_and_residual(point, self.tensor)
-        self._kept = (point.flat, _finite_value(value), parts)
-        return value
+        return _finite_value(value), parts
 
     def gradient(self, point: CpdPoint) -> np.ndarray:
         self.counters.gevals += 1
         return _finite_gradient(gradient(point, self.tensor))
 
-    def value_and_gradient(self, point: CpdPoint) -> tuple[float, np.ndarray]:
-        """Objective and gradient from one evaluation: the kept one when
-        ``point`` has the bits of the last :meth:`objective`'s point (one
-        counted gradient), else a new one (one counted objective and one
-        gradient).  A non-finite objective raises before the gradient is
-        computed or counted."""
-        kept, self._kept = self._kept, None
-        if kept is not None and _same_bits(kept[0], point.flat):
-            _, value, parts = kept
-        else:
-            kept = None  # free the kept parts before evaluating again
-            self.counters.fevals += 1
-            value, parts = value_and_residual(point, self.tensor)
-            _finite_value(value)
+    def value_and_gradient(self, point: CpdPoint, evaluation: tuple | None = None) -> tuple[float, np.ndarray]:
+        """Objective and gradient from one evaluation: ``evaluation``, what
+        :meth:`evaluate` returned at ``point``, or else a new one.  Counts
+        one gradient, and the new evaluation if one is made, which raises
+        on a non-finite objective before the gradient is computed or
+        counted."""
+        value, parts = self.evaluate(point) if evaluation is None else evaluation
         self.counters.gevals += 1
         return value, _finite_gradient(gradient_from_residual(point, parts))
 
@@ -130,14 +114,6 @@ def _finite_value(value: float) -> float:
     if not np.isfinite(value):
         raise FloatingPointError("objective evaluated to a non-finite value")
     return value
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two float64 vectors are equal bit for bit, as their uint64
-    views would be (so ``-0.0`` and ``0.0`` differ): at once when they are
-    the same array, else by their bytes, which takes a tenth of the time of
-    ``np.array_equal`` on the views."""
-    return a is b or a.tobytes() == b.tobytes()
 
 
 def _finite_gradient(g: np.ndarray) -> np.ndarray:
@@ -149,15 +125,17 @@ def _finite_gradient(g: np.ndarray) -> np.ndarray:
 class StepState:
     """Everything the solver needs at one (point, stepsize) pair.
 
-    Immutable in spirit: all fields are computed once; the objective at the
-    projected point and the Gramian are evaluated lazily on first use and
-    cached.  Use :meth:`with_gamma` to re-evaluate the same point at a
+    Immutable in spirit: all fields are computed once; the evaluation at
+    the projected point and the Gramian are made lazily on first use and
+    kept.  Use :meth:`with_gamma` to re-evaluate the same point at a
     different stepsize without repeating the gradient.
 
     ``point`` is the iterate, ``x`` its flat vector, and ``z`` the point
     that :func:`~ncpd.constraints.project` returns.  These points are
     evaluated and handed on as they are, so a step copies none beyond its
-    projection.
+    projection.  ``z_evaluation``, the evaluation behind :attr:`fz`, is
+    what a step to ``z`` passes to :func:`fb_step`, which then needs only
+    the MTTKRPs for its gradient.
     """
 
     def __init__(self, problem: CpdProblem, point: CpdPoint, gamma: float, fx: float, grad: np.ndarray):
@@ -175,21 +153,26 @@ class StepState:
         rsq = float(self.r @ self.r)
         self.rnorm = np.sqrt(rsq)
         self.fbe = fx - float(grad @ self.r) + rsq / (2.0 * gamma)
-        self._fz = None
+        self._z_evaluation = None
         self._gramian = None
 
     @property
+    def z_evaluation(self) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+        """The objective at the projected point ``z`` and the parts of its
+        evaluation (:meth:`CpdProblem.evaluate`); one counted evaluation,
+        kept."""
+        if self._z_evaluation is None:
+            self._z_evaluation = self.problem.evaluate(self.z)
+        return self._z_evaluation
+
+    @property
     def fz(self) -> float:
-        """Objective at the projected point ``z``; one counted evaluation,
-        cached.  Its evaluation is kept, so that :func:`fb_step` at ``z``
-        reuses it."""
-        if self._fz is None:
-            self._fz = self.problem.objective(self.z)
-        return self._fz
+        """Objective at the projected point ``z``, from :attr:`z_evaluation`."""
+        return self.z_evaluation[0]
 
     def gramian(self) -> GramianOperator:
         if self._gramian is None:
-            self._gramian = GramianOperator(self.point, self.problem.counters)
+            self._gramian = GramianOperator(self.point)
         return self._gramian
 
     def with_gamma(self, gamma: float) -> "StepState":
@@ -198,7 +181,7 @@ class StepState:
         return state
 
 
-def fb_step(problem: CpdProblem, x, gamma: float) -> StepState:
+def fb_step(problem: CpdProblem, x, gamma: float, evaluation: tuple | None = None) -> StepState:
     """Evaluate one forward-backward step at ``x``, a :class:`CpdPoint` or
     a flat vector.
 
@@ -206,14 +189,13 @@ def fb_step(problem: CpdProblem, x, gamma: float) -> StepState:
     vector is copied once, by :meth:`CpdProblem.point`.  The objective and
     the gradient at ``x`` come from one evaluation
     (:meth:`CpdProblem.value_and_gradient`) and count as one gradient
-    evaluation, plus one objective evaluation when it is made here.  It is not when ``x`` has the bits of the projected point whose
-    :attr:`StepState.fz` was the problem's last objective evaluation, as on
-    a projected-gradient step, which passes that point itself: that
-    evaluation is reused.  The objective at the projected point is left to
-    :attr:`StepState.fz`.
+    evaluation, plus one objective evaluation unless ``evaluation`` is
+    given: the evaluation already made at ``x``, as a projected-gradient
+    step to ``state.z`` passes ``state.z_evaluation``.  The objective at the
+    projected point is left to :attr:`StepState.fz`.
     """
     point = x if isinstance(x, CpdPoint) else problem.point(x)
-    fx, grad = problem.value_and_gradient(point)
+    fx, grad = problem.value_and_gradient(point, evaluation)
     return StepState(problem, point, gamma, fx, grad)
 
 

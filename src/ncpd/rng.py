@@ -21,6 +21,9 @@ STREAM_PROBE = 3
 
 
 def substream(seed: int, *keys: int) -> np.random.Generator:
-    """A PCG64 generator keyed by ``(seed, *keys)``."""
+    """A PCG64 generator keyed by ``(seed, *keys)``; a negative ``seed``
+    raises :class:`ValueError`."""
+    if int(seed) < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     seq = np.random.SeedSequence((int(seed),) + tuple(int(k) for k in keys))
     return np.random.Generator(np.random.PCG64(seq))

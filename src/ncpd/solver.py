@@ -408,11 +408,10 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, ga
         restart = False
         while True:
             if tau > 0.0:
-                x_trial = (1.0 - tau) * state.z.flat + tau * (state.x + direction)
-            else:
-                x_trial = state.z
+                cand = fb_step(problem, (1.0 - tau) * state.z.flat + tau * (state.x + direction), gamma)
+            else:  # the projected point, whose evaluation fz has made
+                cand = fb_step(problem, state.z, gamma, state.z_evaluation)
                 kind = "pgd"
-            cand = fb_step(problem, x_trial, gamma)
             if not gamma_condition(cand, cfg.alpha):
                 if not halve_gamma():
                     return finish(state, snapshot(state), "stagnation")
@@ -440,11 +439,11 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, ga
             g = cand.grad
             gg = float(g @ g)
             if gg > 0.0:
-                # A Gauss-Newton step's next direction solve reuses the
-                # operator; a projected-gradient step needs none.
+                # One Gramian product per floor.  A Gauss-Newton step's next
+                # direction solve reuses the operator; a projected-gradient
+                # step needs none.
+                counters.gramian_applies += 1
                 op = cand.gramian() if gauss_newton else None
-                if op is None:
-                    counters.gramian_applies += 1
                 eta = cauchy_scale(cand.point, g, reciprocal=cfg.cauchy_reciprocal, op=op)
                 if np.isfinite(eta) and eta > gamma:
                     gamma = eta

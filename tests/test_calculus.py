@@ -10,7 +10,6 @@ import ncpd.tensors as tensors
 import oracles
 from helpers import random_feasible, strictly_positive_point, tiny_structure
 from ncpd.calculus import (
-    EvalCounters,
     GramianOperator,
     cauchy_scale,
     explicit_jacobian,
@@ -201,16 +200,6 @@ def test_gramian_linear_symmetric_psd(rng):
     assert np.allclose(op.apply(a * u + b * v), a * op.apply(u) + b * op.apply(v), rtol=1e-12, atol=1e-12)
     assert float(u @ op.apply(v)) == pytest.approx(float(v @ op.apply(u)), rel=1e-12, abs=1e-12)
     assert float(v @ op.apply(v)) >= -1e-12 * float(v @ v)
-
-
-def test_gramian_counts_applies(rng):
-    structure = tiny_structure()
-    point = random_feasible(structure, rng)
-    counters = EvalCounters()
-    op = GramianOperator(point, counters=counters)
-    op.apply(rng.standard_normal(structure.size))
-    op.apply(rng.standard_normal(structure.size))
-    assert counters.gramian_applies == 2
 
 
 def test_gramian_apply_cost_polynomial():

@@ -4,9 +4,17 @@ import time
 import numpy as np
 import pytest
 
+from ncpd.calculus import GramianOperator
 from ncpd.checks import run_checks
 from ncpd.cli import main
-from ncpd.experiments import InstanceSpec, gen_exact_instance, gen_inexact_instance
+from ncpd.experiments import (
+    InstanceSpec,
+    gen_exact_instance,
+    gen_inexact_instance,
+    run_experiment_compare,
+    run_experiment_quadratic,
+)
+from ncpd.rng import substream
 from ncpd.tensors import DenseTensor, ten_read, ten_write
 
 SMALL_SPEC = InstanceSpec(
@@ -63,6 +71,15 @@ def test_run_checks_detect_corrupted_gradient():
     by_name = {r.name: r for r in results}
     assert not by_name["gradient-vs-finite-differences"].passed
     assert not by_name["gradient-vs-dense-jacobian"].passed
+
+
+def test_run_checks_detect_a_perturbed_dense_gramian(monkeypatch):
+    # the Gramian and surrogate checks compare the matrices that the
+    # direction solve takes, so a wrong dense Gramian fails both
+    dense = GramianOperator.dense
+    monkeypatch.setattr(GramianOperator, "dense", lambda self: dense(self) * (1.0 + 1e-6))
+    failed = {r.name for r in run_checks(scale="tiny", seed=0) if not r.passed}
+    assert failed == {"gramian-vs-dense-jacobian", "surrogate-vs-dense"}
 
 
 # --- decompose --------------------------------------------------------------
@@ -315,6 +332,37 @@ def test_experiment_compare_medians_in_json(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"{agg['median_panoc_gradients']}" in out
     assert f"{agg['median_pgd_gradients']}" in out
+
+
+@pytest.mark.parametrize("study", [run_experiment_quadratic, run_experiment_compare])
+@pytest.mark.parametrize("runs", [0, -3])
+def test_studies_reject_fewer_than_one_run(study, runs):
+    with pytest.raises(ValueError, match=f"runs must be at least 1, got {runs}"):
+        study(runs)
+
+
+@pytest.mark.parametrize("name", ["quadratic", "compare"])
+def test_experiment_with_fewer_than_one_run_exits_1_and_writes_nothing(name, tmp_path, capsys):
+    assert main(["experiment", name, "--runs", "-3", "--out", str(tmp_path / "e")]) == 1
+    assert capsys.readouterr().err == "error: runs must be at least 1, got -3\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_substream_names_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+        substream(-1, 2)
+
+
+@pytest.mark.parametrize("command", ["experiment", "check", "decompose"])
+def test_a_negative_seed_exits_1_naming_the_seed(command, tensor_file, tmp_path, capsys):
+    argv = {
+        "experiment": ["experiment", "quadratic", "--runs", "1", "--out", str(tmp_path / "e")],
+        "check": ["check"],
+        "decompose": ["decompose", str(tensor_file), "--out", str(tmp_path / "d")],
+    }[command]
+    assert main([*argv, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["input.ten"]
 
 
 def test_experiment_rejects_unknown_name(tmp_path):

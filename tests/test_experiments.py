@@ -64,7 +64,7 @@ def test_exact_instance_fits_exactly():
     for spec in specs:
         tensor, planted = gen_exact_instance(spec)
         problem = CpdProblem(tensor, FeasibleSet(planted.structure), EvalCounters())
-        assert problem.objective(planted) == 0.0, spec.dims
+        assert problem.evaluate(planted)[0] == 0.0, spec.dims
 
 
 def test_exact_instance_is_feasible():

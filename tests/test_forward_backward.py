@@ -102,7 +102,7 @@ def test_step_to_the_projected_point_takes_that_point_and_its_residual():
     state = fb_step(problem, random_feasible(problem.structure, rng).flat, 1e-2)
     state.fz
     fe, ge = problem.counters.fevals, problem.counters.gevals
-    step = fb_step(problem, state.z, 1e-2)
+    step = fb_step(problem, state.z, 1e-2, state.z_evaluation)
     assert step.point is state.z and step.x is state.z.flat
     assert (problem.counters.fevals, problem.counters.gevals) == (fe, ge + 1)
     fresh = fb_step(CpdProblem(problem.tensor, problem.fset), np.array(state.z.flat), 1e-2)

@@ -7,7 +7,8 @@ from helpers import random_feasible, strictly_positive_point
 from ncpd.constraints import FeasibleSet, project
 from ncpd.calculus import EvalCounters, GramianOperator, explicit_jacobian
 from ncpd.experiments import InstanceSpec, gen_inexact_instance, random_feasible_point
-from ncpd.forward_backward import CpdProblem, fb_step
+import ncpd.solver as solver
+from ncpd.forward_backward import CpdProblem, DirectionReport, fb_step
 from ncpd.solver import (
     NonFiniteError,
     SolverConfig,
@@ -474,6 +475,51 @@ def test_pgd_floor_builds_no_gramian_operator(monkeypatch):
     res = pgd_solve(tensor, perturbed(planted, 19, scale=0.3), SolverConfig(max_iters=30))
     assert len(res.trace) > 1
     assert [r.gramian_applies for r in res.trace] == list(range(len(res.trace)))
+
+
+def test_gn_floor_counts_one_gramian_apply_per_step(monkeypatch):
+    # the solver counts the floor's one Gramian product in both modes, and
+    # in a Gauss-Newton solve only the floor applies the operator
+    applies = []
+    apply = GramianOperator.apply
+
+    def counted(self, v):
+        applies.append(v)
+        return apply(self, v)
+
+    monkeypatch.setattr(GramianOperator, "apply", counted)
+    structure, tensor, planted = small_exact(29)
+    res = panoc_solve(tensor, perturbed(planted, 19, scale=0.3), SolverConfig(max_iters=30))
+    assert len(res.trace) > 1
+    assert [r.gramian_applies for r in res.trace] == list(range(len(res.trace)))
+    assert len(applies) == res.trace[-1].gramian_applies
+
+
+def test_pgd_step_after_a_failed_trial_reuses_the_projected_evaluation(monkeypatch):
+    # a direction far uphill fails the envelope test at every tau, so each
+    # iteration ends in a projected-gradient step after five tau halvings;
+    # that step takes the evaluation that fz made at the projected point,
+    # and adds one gradient and no objective
+    def uphill(state, cfg):
+        return 100.0 * state.r, DirectionReport(1, 0.0, True, False)
+
+    steps = []
+
+    def counted_step(problem, x, gamma, *evaluation):
+        before = (problem.counters.fevals, problem.counters.gevals)
+        state = fb_step(problem, x, gamma, *evaluation)
+        steps.append((x, (problem.counters.fevals - before[0], problem.counters.gevals - before[1])))
+        return state
+
+    monkeypatch.setattr(solver, "solve_direction", uphill)
+    monkeypatch.setattr(solver, "fb_step", counted_step)
+    spec = InstanceSpec(dims=(6, 5, 4), rank=3, seed=11)
+    res = panoc_solve(gen_inexact_instance(spec), random_feasible_point(spec.structure, 11), SolverConfig(max_iters=10))
+    assert res.iterations == 10
+    assert all(r.kind == "pgd" and r.tau_halvings == 5 for r in res.trace.records[:-1])
+    to_projected = [added for x, added in steps[1:] if isinstance(x, CpdPoint)]  # steps[0] is the start
+    assert len(to_projected) >= 10
+    assert all(added == (0, 1) for added in to_projected)
 
 
 def test_verbatim_floor_runs():
