@@ -264,29 +264,21 @@ def kernel_basis(point: CpdPoint) -> KernelBasis:
     return KernelBasis(basis, degenerate)
 
 
-def cauchy_scale(
-    point: CpdPoint,
-    g: np.ndarray,
-    reciprocal: bool = False,
-    op: GramianOperator | None = None,
-) -> float:
-    """Curvature scale of the Gramian along ``g``.
+def cauchy_scale(point: CpdPoint, g: np.ndarray, op: GramianOperator | None = None) -> float:
+    """Stepsize scale of the Gramian along ``g``: ``g.g / g.G.g``, the
+    inverse of its Rayleigh quotient.
 
-    Returns the Rayleigh quotient ``g.G.g / g.g`` or, with ``reciprocal``,
-    its inverse ``g.g / g.G.g`` (a stepsize-scale quantity).  ``g.G.g``
-    comes from one apply of ``op`` when one is given, and otherwise from
-    R-by-R products alone, without building an operator.  Raises on a
-    zero direction; the reciprocal of a flat direction comes out ``inf``
-    and is left to the caller to ignore.
+    ``g.G.g`` comes from one apply of ``op`` when one is given, and
+    otherwise from R-by-R products alone, without building an operator.
+    Raises on a zero direction; a flat direction comes out ``inf`` and is
+    left to the caller to ignore.
     """
     g = np.asarray(g, dtype=np.float64)
-    den = float(g @ g)
-    if den == 0.0:
+    gg = float(g @ g)
+    if gg == 0.0:
         raise ValueError("cannot take a curvature scale along the zero direction")
-    num = _gramian_form(point, g) if op is None else float(g @ op.apply(g))
-    if reciprocal:
-        return den / num if num > 0.0 else math.inf
-    return num / den
+    curvature = _gramian_form(point, g) if op is None else float(g @ op.apply(g))
+    return gg / curvature if curvature > 0.0 else math.inf
 
 
 def _gramian_form(point: CpdPoint, v: np.ndarray) -> float:

@@ -78,12 +78,6 @@ def build_config(args) -> tuple[SolverConfig, InstanceSpec]:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if getattr(args, "rank", None) is not None:
         instance = dataclasses.replace(instance, rank=args.rank)
-    if getattr(args, "no_cauchy_floor", False):
-        cfg = dataclasses.replace(cfg, cauchy_floor=False)
-    if getattr(args, "cauchy_reciprocal", None) is not None:
-        cfg = dataclasses.replace(cfg, cauchy_reciprocal=args.cauchy_reciprocal)
-    if getattr(args, "convention", None) is not None:
-        cfg = dataclasses.replace(cfg, jacobian_convention=args.convention)
     return cfg, instance
 
 
@@ -169,15 +163,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--config", type=str, default=None, help="JSON config overlay")
         p.add_argument("--rank", type=int, default=None, help="factorization rank")
-        p.add_argument("--no-cauchy-floor", action="store_true", help="disable the stepsize floor heuristic")
-        p.add_argument(
-            "--cauchy-reciprocal",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="use the reciprocal curvature scale in the stepsize floor",
-        )
-        p.add_argument("--convention", type=int, choices=(0, 1), default=None,
-                       help="clamp derivative at exact zeros of the projection input")
 
     p_dec = sub.add_parser("decompose", help="factor a tensor file")
     p_dec.add_argument("tensor", help="input tensor in .ten format")

@@ -165,16 +165,14 @@ class ProjJacobianElement:
         return out
 
 
-def proj_jacobian(fset: FeasibleSet, w, convention: int = 0) -> ProjJacobianElement:
+def proj_jacobian(fset: FeasibleSet, w) -> ProjJacobianElement:
     """A generalized Jacobian element of :func:`project` at ``w``.
 
-    ``convention`` selects the clamp derivative used at exact zeros of the
-    input (and at exact box-bound ties): 0 or 1, both valid choices.  Raises
+    The clamp derivative is 0 at an exact zero of the input and at an
+    exact box-bound tie: any value in [0, 1] there gives an element of the
+    generalized Jacobian, and with it the local Q-quadratic rate.  Raises
     :class:`DegenerateBlockError` when a factor block has no positive part.
     """
-    if convention not in (0, 1):
-        raise ValueError(f"convention must be 0 or 1, got {convention}")
-    conv = float(convention)
     s = fset.structure
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (s.size,):
@@ -190,13 +188,12 @@ def proj_jacobian(fset: FeasibleSet, w, convention: int = 0) -> ProjJacobianElem
             raise DegenerateBlockError(
                 f"factor block (mode {modes.start + mode}, column {column}) has no positive part"
             )
-        clamp = np.where(block > 0.0, 1.0, np.where(block < 0.0, 0.0, conv))
-        groups.append((sl, units, clamp, (1.0 / norms)[:, None]))
+        groups.append((sl, units, np.where(block > 0.0, 1.0, 0.0), (1.0 / norms)[:, None]))
     weights_in = w[s.weight_slice]
-    wd = np.where(weights_in > 0.0, 1.0, np.where(weights_in < 0.0, 0.0, conv))
+    inside = weights_in > 0.0
     if fset.box_bound is not None:
-        m = fset.box_bound
-        wd = np.where(weights_in > m, 0.0, np.where(weights_in < m, wd, conv))
+        inside &= weights_in < fset.box_bound
+    wd = np.where(inside, 1.0, 0.0)
     return ProjJacobianElement(s, groups, wd)
 
 

@@ -32,7 +32,7 @@ from .solver import (
     panoc_solve,
     pgd_solve,
 )
-from .tensors import CpdPoint, CpdStructure, DenseTensor, format_float, tensor_from_cpd
+from .tensors import CpdPoint, CpdStructure, DenseTensor, as_integer, format_float, tensor_from_cpd
 
 __all__ = [
     "InstanceSpec",
@@ -59,11 +59,11 @@ class InstanceSpec:
     seed: int = 0
     zeros_per_factor: int = 10
     negative_entries_per_factor: int = 10
-    neg_low: float = -0.01
-    neg_high: float = 0.0
 
     def __post_init__(self):
         structure = CpdStructure(self.dims, self.rank)  # validates dims and rank
+        for name in ("seed", "zeros_per_factor", "negative_entries_per_factor"):
+            as_integer(getattr(self, name), name)
         per_factor = min(d * self.rank for d in structure.dims)
         if not 0 <= self.zeros_per_factor <= per_factor:
             raise ValueError(
@@ -74,8 +74,6 @@ class InstanceSpec:
                 f"negative_entries_per_factor {self.negative_entries_per_factor} "
                 f"out of range [0, {per_factor}]"
             )
-        if not self.neg_low < self.neg_high <= 0.0:
-            raise ValueError(f"need neg_low < neg_high <= 0, got ({self.neg_low}, {self.neg_high})")
 
     @property
     def structure(self) -> CpdStructure:
@@ -119,8 +117,8 @@ def gen_exact_instance(spec: InstanceSpec) -> tuple[DenseTensor, CpdPoint]:
 
 def gen_inexact_instance(spec: InstanceSpec) -> DenseTensor:
     """A tensor with no exact feasible fit: standard-uniform factors with
-    ``negative_entries_per_factor`` entries replaced by small negative draws,
-    multiplied out with unit weights.  Only the tensor is returned."""
+    ``negative_entries_per_factor`` entries replaced by uniform draws from
+    [-0.01, 0), multiplied out with unit weights.  Only the tensor is returned."""
     rng = substream(spec.seed, STREAM_INSTANCE)
     factors = []
     for dim in spec.dims:
@@ -128,7 +126,7 @@ def gen_inexact_instance(spec: InstanceSpec) -> DenseTensor:
         k = spec.negative_entries_per_factor
         if k:
             pos = rng.choice(dim * spec.rank, size=k, replace=False)
-            _scatter(a, pos, rng.uniform(spec.neg_low, spec.neg_high, size=k))
+            _scatter(a, pos, rng.uniform(-0.01, 0.0, size=k))
         factors.append(a)
     return tensor_from_cpd(CpdPoint(factors, np.ones(spec.rank)))
 

@@ -244,13 +244,15 @@ class JhatOperator:
         return jac
 
 
-def jhat_operator(state: StepState, convention: int = 0) -> JhatOperator:
-    """Surrogate Jacobian element at a step state.
+def jhat_operator(state: StepState) -> JhatOperator:
+    """Surrogate Jacobian element at a step state, with the projection
+    Jacobian element of :func:`~ncpd.constraints.proj_jacobian` at its
+    pre-projection point.
 
     Raises :class:`~ncpd.constraints.DegenerateBlockError` when the
     pre-projection point has a factor block with no positive part.
     """
-    proj_el = proj_jacobian(state.problem.fset, state.w, convention)
+    proj_el = proj_jacobian(state.problem.fset, state.w)
     return JhatOperator(proj_el, state.gramian(), state.gamma)
 
 
@@ -267,21 +269,20 @@ class DirectionReport:
     breakdown: bool
 
 
-def solve_direction(state: StepState, cfg) -> tuple[np.ndarray, DirectionReport]:
+def solve_direction(state: StepState) -> tuple[np.ndarray, DirectionReport]:
     """Gauss-Newton direction at a step state: the solution ``d`` of
 
         (Jhat^T Jhat + mu diag(Jhat^T Jhat)) d = -Jhat^T r,
         mu = DAMPING ||r|| / ||x||,
 
     by one dense LU solve, with ``Jhat`` the surrogate's matrix
-    (:meth:`JhatOperator.matrix`) and ``cfg`` supplying
-    ``jacobian_convention``.  Damping in proportion to the residual keeps
-    local quadratic convergence without a nonsingular surrogate (Fan and
-    Yuan, 2005), which matters here: planted factors have exact zeros, so
-    strict complementarity fails at the solution.  Marquardt's diagonal
-    scaling makes the damping blind to the weights' scale, whose columns of
-    ``Jhat`` are about 1/lambda the size of the factor columns; ``||x||``
-    makes ``mu`` blind to the data's scale.
+    (:meth:`JhatOperator.matrix`) at the state.  Damping in proportion to
+    the residual keeps local quadratic convergence without a nonsingular
+    surrogate (Fan and Yuan, 2005), which matters here: planted factors
+    have exact zeros, so strict complementarity fails at the solution.
+    Marquardt's diagonal scaling makes the damping blind to the weights'
+    scale, whose columns of ``Jhat`` are about 1/lambda the size of the
+    factor columns; ``||x||`` makes ``mu`` blind to the data's scale.
 
     May raise :class:`~ncpd.constraints.DegenerateBlockError`; a singular or
     non-finite system is reported as a breakdown, not raised, so the caller
@@ -289,7 +290,7 @@ def solve_direction(state: StepState, cfg) -> tuple[np.ndarray, DirectionReport]
     """
     size = state.x.size
     with np.errstate(all="ignore"):  # a non-finite system is reported below
-        jac = jhat_operator(state, cfg.jacobian_convention).matrix()
+        jac = jhat_operator(state).matrix()
         rhs = -(state.r @ jac)
         rhs_norm = float(np.linalg.norm(rhs))
         if rhs_norm == 0.0:

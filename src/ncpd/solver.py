@@ -35,7 +35,7 @@ from .calculus import EvalCounters, cauchy_scale
 from .constraints import DegenerateBlockError, FeasibleSet, project
 from .forward_backward import CpdProblem, StepState, fb_step, solve_direction
 from .rng import STREAM_PROBE, substream
-from .tensors import CpdPoint, DenseTensor, format_float
+from .tensors import CpdPoint, DenseTensor, as_integer, format_float
 
 __all__ = [
     "SolverConfig",
@@ -77,13 +77,15 @@ class SolverConfig:
     max_iters: int = 2000
     max_tau_halvings: int = 5
     cauchy_floor: bool = True
-    cauchy_reciprocal: bool = True
-    jacobian_convention: int = 0
     box_bound: float | None = None
     seed: int = 0
     max_gamma_halvings: int = 60
 
     def __post_init__(self):
+        for name in ("max_iters", "max_tau_halvings", "seed", "max_gamma_halvings"):
+            as_integer(getattr(self, name), name)
+        if not isinstance(self.cauchy_floor, bool):
+            raise ValueError(f"cauchy_floor must be a bool, got {self.cauchy_floor!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.beta < 1.0:
@@ -94,8 +96,6 @@ class SolverConfig:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.max_tau_halvings < 0:
             raise ValueError(f"max_tau_halvings must be nonnegative, got {self.max_tau_halvings}")
-        if self.jacobian_convention not in (0, 1):
-            raise ValueError(f"jacobian_convention must be 0 or 1, got {self.jacobian_convention}")
         if self.box_bound is not None and not self.box_bound > 0.0:
             raise ValueError(f"box_bound must be positive, got {self.box_bound}")
         if self.max_gamma_halvings < 1:
@@ -396,7 +396,7 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, ga
         direction = None
         if gauss_newton and not state.z.degenerate:
             try:
-                d, report = solve_direction(state, cfg)
+                d, report = solve_direction(state)
                 if not report.breakdown:
                     direction = d
             except DegenerateBlockError:
@@ -444,7 +444,7 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, ga
                 # step needs none.
                 counters.gramian_applies += 1
                 op = cand.gramian() if gauss_newton else None
-                eta = cauchy_scale(cand.point, g, reciprocal=cfg.cauchy_reciprocal, op=op)
+                eta = cauchy_scale(cand.point, g, op=op)
                 if np.isfinite(eta) and eta > gamma:
                     gamma = eta
                     cand = cand.with_gamma(gamma)

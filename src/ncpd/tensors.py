@@ -51,6 +51,14 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     return out
 
 
+def as_integer(value, name: str) -> int:
+    """``value`` as an ``int``; :class:`ValueError` naming ``name`` when it
+    is not a Python or numpy integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class DenseTensor:
     """A dense real tensor with at least two modes.
@@ -129,13 +137,14 @@ class CpdStructure:
     rank: int
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(as_integer(d, "mode size") for d in self.dims)
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise ValueError(f"invalid mode sizes {dims}")
-        if int(self.rank) < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
+        rank = as_integer(self.rank, "rank")
+        if rank < 1:
+            raise ValueError(f"rank must be positive, got {rank}")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "rank", int(self.rank))
+        object.__setattr__(self, "rank", rank)
 
     @property
     def num_modes(self) -> int:

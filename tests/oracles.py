@@ -196,11 +196,11 @@ def project_loop(w, dims, rank, box=None):
     return np.concatenate(parts), degenerate
 
 
-def proj_jacobian_blocks(w, dims, rank, box=None, convention=0):
+def proj_jacobian_blocks(w, dims, rank, box=None):
     """Per factor column: unit direction, inverse norm and clamp pattern, in
-    flat block order; plus the weight clamp diagonal.  Raises ``ValueError``
+    flat block order; plus the weight clamp diagonal.  The clamp derivative
+    is 0 at an exact zero and at an exact box tie.  Raises ``ValueError``
     naming the first factor column with no positive part."""
-    conv = float(convention)
     w = np.asarray(w, dtype=np.float64)
     blocks, weights_in = mode_views(w, dims, rank)
     directions, inv_norms, clamps = [], [], []
@@ -210,13 +210,13 @@ def proj_jacobian_blocks(w, dims, rank, box=None, convention=0):
         for r in range(block.shape[1]):
             if norms[r] == 0.0:
                 raise ValueError(f"factor block (mode {n}, column {r}) has no positive part")
-            clamp = np.where(block[:, r] > 0.0, 1.0, np.where(block[:, r] < 0.0, 0.0, conv))
+            clamp = np.where(block[:, r] > 0.0, 1.0, 0.0)
             directions.append(pos[:, r] / norms[r])
             inv_norms.append(1.0 / norms[r])
             clamps.append(clamp)
-    wd = np.where(weights_in > 0.0, 1.0, np.where(weights_in < 0.0, 0.0, conv))
+    wd = np.where(weights_in > 0.0, 1.0, 0.0)
     if box is not None:
-        wd = np.where(weights_in > box, 0.0, np.where(weights_in < box, wd, conv))
+        wd = np.where(weights_in < box, wd, 0.0)
     return directions, inv_norms, clamps, wd
 
 

@@ -64,7 +64,6 @@ def cases(draw):
         dims = tuple(draw(st.lists(st.integers(1, 6), min_size=n_modes, max_size=n_modes)))
     rank = draw(st.integers(1, 6))
     box = draw(st.sampled_from([None, 0.5, 2.0]))
-    convention = draw(st.sampled_from([0, 1]))
     zero_share = draw(st.sampled_from([0.0, 0.15, 0.5]))
     # memory order of each factor matrix: row-major as the solver's points,
     # or column-major, possibly mixed within a run of equal-size modes
@@ -85,12 +84,12 @@ def cases(draw):
         factors, weights = structure.split(x)
         point = CpdPoint([np.asarray(a, order=o) for a, o in zip(factors, orders)], weights)
     gamma = float(rng.uniform(1e-3, 1.0))
-    return structure, box, convention, w, point, v, gamma
+    return structure, box, w, point, v, gamma
 
 
-def references(structure, box, convention, w, point):
+def references(structure, box, w, point):
     dims, rank = structure.dims, structure.rank
-    blocks = oracles.proj_jacobian_blocks(w, dims, rank, box, convention)
+    blocks = oracles.proj_jacobian_blocks(w, dims, rank, box)
 
     def pj(v):
         return oracles.proj_jacobian_apply_loop(blocks, dims, rank, v)
@@ -108,7 +107,7 @@ def projection_cases(draw):
     or none and about a fifth of the factor columns without a positive
     part, so degenerate."""
     if draw(st.booleans()):
-        structure, box, _, w, _, _, _ = draw(cases())
+        structure, box, w, _, _, _ = draw(cases())
         return structure, box, w
     runs = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3)), min_size=2, max_size=3))
     structure = CpdStructure(tuple(size for size, count in runs for _ in range(count)), draw(st.integers(1, 4)))
@@ -145,26 +144,26 @@ def test_project_matches_column_loop_bitwise(case):
 @given(cases())
 @settings(max_examples=300, deadline=None)
 def test_proj_jacobian_apply_matches_block_loop_bitwise(case):
-    structure, box, convention, w, _, v, _ = case
+    structure, box, w, _, v, _ = case
     fset = FeasibleSet(structure, box)
     try:
-        blocks = oracles.proj_jacobian_blocks(w, structure.dims, structure.rank, box, convention)
+        blocks = oracles.proj_jacobian_blocks(w, structure.dims, structure.rank, box)
     except ValueError as exc:
         try:
-            proj_jacobian(fset, w, convention)
+            proj_jacobian(fset, w)
         except DegenerateBlockError as got:
             assert str(got) == str(exc)
         else:
             raise AssertionError("degenerate block not reported")
         return
-    el = proj_jacobian(fset, w, convention)
+    el = proj_jacobian(fset, w)
     assert_bitwise(el.apply(v), oracles.proj_jacobian_apply_loop(blocks, structure.dims, structure.rank, v))
 
 
 @given(cases())
 @settings(max_examples=300, deadline=None)
 def test_gramian_apply_matches_pair_loop_bitwise(case):
-    _, _, _, _, point, v, _ = case
+    _, _, _, point, v, _ = case
     op = GramianOperator(point)
     want = oracles.gramian_apply_loop(point.factors, point.weights, v)
     assert_bitwise(op.apply(v), want)
@@ -174,13 +173,13 @@ def test_gramian_apply_matches_pair_loop_bitwise(case):
 @given(cases())
 @settings(max_examples=300, deadline=None)
 def test_jhat_applies_match_loop_composition_bitwise(case):
-    structure, box, convention, w, point, v, gamma = case
+    structure, box, w, point, v, gamma = case
     try:
-        el = proj_jacobian(FeasibleSet(structure, box), w, convention)
+        el = proj_jacobian(FeasibleSet(structure, box), w)
     except DegenerateBlockError:
         return
     op = JhatOperator(el, GramianOperator(point), gamma)
-    pj, gram = references(structure, box, convention, w, point)
+    pj, gram = references(structure, box, w, point)
     assert_bitwise(op.apply(v), oracles.jhat_apply_loop(pj, gram, gamma, v))
     assert_bitwise(op.apply_transpose(v), oracles.jhat_apply_transpose_loop(pj, gram, gamma, v))
 
@@ -195,7 +194,7 @@ def test_operators_match_loops_bitwise_at_solver_sizes(dims, rank):
     v = rng.standard_normal(structure.size)
     gamma = 0.05
     op = JhatOperator(proj_jacobian(FeasibleSet(structure), w), GramianOperator(point), gamma)
-    pj, gram = references(structure, None, 0, w, point)
+    pj, gram = references(structure, None, w, point)
     assert_bitwise(op.gram.apply(v), gram(v))
     assert_bitwise(op.proj_el.apply(v), pj(v))
     assert_bitwise(op.apply(v), oracles.jhat_apply_loop(pj, gram, gamma, v))
@@ -211,7 +210,7 @@ def evaluations(draw):
     """A point from :func:`cases` (row- or column-major factors, signed
     zeros) and a data tensor of its shape.  Mode sizes of 1 make some
     middle-mode unfoldings views of the residual instead of copies."""
-    structure, _, _, _, point, _, _ = draw(cases())
+    structure, _, _, point, _, _ = draw(cases())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     data = rng.standard_normal(math.prod(structure.dims))
     data = sprinkle_zeros(rng, data, draw(st.sampled_from([0.0, 0.3])))

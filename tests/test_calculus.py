@@ -270,7 +270,8 @@ def test_kernel_flags_zero_weight(rng):
 
 def test_cauchy_scale_eigenvector():
     # diag Gramian via a diagonal two-mode problem is fiddly; use the raw
-    # quadratic-form contract instead: eigenvector of G gives its eigenvalue
+    # quadratic-form contract instead: eigenvector of G gives the inverse
+    # of its eigenvalue
     structure = CpdStructure((3, 3), 2)
     rng = np.random.default_rng(8)
     point = strictly_positive_point(structure, rng)
@@ -278,8 +279,8 @@ def test_cauchy_scale_eigenvector():
     dense = jac.T @ jac
     evals, evecs = np.linalg.eigh(dense)
     g = evecs[:, -1]
-    assert cauchy_scale(point, g) == pytest.approx(evals[-1], rel=1e-10)
-    assert cauchy_scale(point, g, reciprocal=True) == pytest.approx(1.0 / evals[-1], rel=1e-10)
+    assert 1.0 / cauchy_scale(point, g) == pytest.approx(evals[-1], rel=1e-10)
+    assert cauchy_scale(point, g) == pytest.approx(1.0 / evals[-1], rel=1e-10)
 
 
 def test_cauchy_scale_matches_quadratic_form(rng):
@@ -289,7 +290,7 @@ def test_cauchy_scale_matches_quadratic_form(rng):
     dense = jac.T @ jac
     g = rng.standard_normal(structure.size)
     want = float(g @ dense @ g) / float(g @ g)
-    assert cauchy_scale(point, g) == pytest.approx(want, rel=1e-12)
+    assert 1.0 / cauchy_scale(point, g) == pytest.approx(want, rel=1e-12)
 
 
 @given(
@@ -319,9 +320,9 @@ def test_cauchy_scale_matches_quadratic_form_over_shapes(dims, rank, zero, seed)
     jac = explicit_jacobian(point)
     gg = float(g @ g)
     tol = 1e-12 * float(np.sum((np.abs(jac) @ np.abs(g)) ** 2)) / gg
-    got = cauchy_scale(point, g)
+    got = 1.0 / cauchy_scale(point, g)
     assert abs(got - float(np.sum((jac @ g) ** 2)) / gg) <= tol
-    assert abs(got - cauchy_scale(point, g, op=GramianOperator(point))) <= tol
+    assert abs(got - 1.0 / cauchy_scale(point, g, op=GramianOperator(point))) <= tol
 
 
 def test_cauchy_scale_scale_invariant(rng):

@@ -170,7 +170,7 @@ def test_decompose_writes_partial_trace_on_non_finite_value(tmp_path, capsys):
 def test_decompose_out_of_memory_names_the_direction_system(tensor_file, tmp_path, capsys, monkeypatch):
     # a direction system too large for memory ends in a message, not a
     # traceback; projected gradient, which solves no such system, still runs
-    def no_memory(state, cfg):
+    def no_memory(state):
         raise MemoryError
 
     monkeypatch.setattr("ncpd.solver.solve_direction", no_memory)
@@ -273,6 +273,35 @@ def test_config_invalid_field_value(tensor_file, tmp_path, capsys):
     code = main(["decompose", str(tensor_file), "--rank", "2",
                  "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert code == 1
+
+
+@pytest.mark.parametrize("overlay,message", [
+    ({"instance": {"rank": 2.5}}, "invalid instance config: rank must be an integer, got 2.5"),
+    ({"instance": {"dims": [4, 4.7, 4]}}, "invalid instance config: mode size must be an integer, got 4.7"),
+    ({"instance": {"zeros_per_factor": 1.5}}, "invalid instance config: zeros_per_factor must be an integer, got 1.5"),
+    ({"solver": {"max_iters": 2.5}}, "invalid solver config: max_iters must be an integer, got 2.5"),
+    ({"solver": {"max_iters": True}}, "invalid solver config: max_iters must be an integer, got True"),
+    ({"solver": {"seed": 1.5}}, "invalid solver config: seed must be an integer, got 1.5"),
+    ({"solver": {"cauchy_floor": "no"}}, "invalid solver config: cauchy_floor must be a bool, got 'no'"),
+], ids=["rank", "dims", "zeros_per_factor", "max_iters", "max_iters-bool", "seed", "cauchy_floor"])
+def test_config_non_integer_value_exits_1_and_writes_nothing(overlay, message, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(overlay))
+    code = main(["experiment", "compare", "--runs", "1",
+                 "--config", str(cfg_path), "--out", str(tmp_path / "c")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("flag", [["--convention", "1"], ["--no-cauchy-floor"], ["--cauchy-reciprocal"],
+                                  ["--no-cauchy-reciprocal"]], ids=lambda flag: flag[0])
+@pytest.mark.parametrize("command", [["decompose", "x.ten"], ["experiment", "compare"]], ids=lambda c: c[0])
+def test_retired_solver_flags_are_usage_errors(command, flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([*command, *flag])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 SMALL_OVERLAY = {

@@ -192,29 +192,17 @@ def test_jacobian_kills_normalized_direction():
 def test_weight_clamp_pattern_convention0():
     s = fset(dims=(2, 2), rank=3)
     w = np.concatenate([np.ones(12), [2.0, -1.0, 0.0]])
-    el = proj_jacobian(s, w, convention=0)
+    el = proj_jacobian(s, w)
     v = np.zeros(15)
     v[12:] = [1.0, 1.0, 1.0]
     assert np.array_equal(el.apply(v)[12:], [1.0, 0.0, 0.0])
-
-
-def test_weight_clamp_pattern_convention1():
-    s = fset(dims=(2, 2), rank=3)
-    w = np.concatenate([np.ones(12), [2.0, -1.0, 0.0]])
-    el = proj_jacobian(s, w, convention=1)
-    v = np.zeros(15)
-    v[12:] = [1.0, 1.0, 1.0]
-    assert np.array_equal(el.apply(v)[12:], [1.0, 0.0, 1.0])
 
 
 def test_factor_clamp_convention_at_zero():
     s = fset(dims=(2, 2), rank=1)
     w = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
     v = np.concatenate([[1.0, 0.0], np.zeros(3)])
-    got0 = proj_jacobian(s, w, convention=0).apply(v)
-    got1 = proj_jacobian(s, w, convention=1).apply(v)
-    assert got0[0] == 0.0  # clamped direction dies under convention 0
-    assert got1[0] != 0.0
+    assert proj_jacobian(s, w).apply(v)[0] == 0.0  # the clamp derivative is 0 at an exact zero
 
 
 def test_degenerate_block_raises_with_location():
@@ -230,8 +218,7 @@ def test_box_tie_convention():
     w_at = np.concatenate([np.ones(4), [2.0]])
     v = np.zeros(5)
     v[4] = 1.0
-    assert proj_jacobian(s, w_at, convention=0).apply(v)[4] == 0.0
-    assert proj_jacobian(s, w_at, convention=1).apply(v)[4] == 1.0
+    assert proj_jacobian(s, w_at).apply(v)[4] == 0.0
 
 
 @given(st.integers(0, 2**32 - 1))

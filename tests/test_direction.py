@@ -15,9 +15,9 @@ from ncpd.solver import SolverConfig, panoc_solve
 from ncpd.tensors import CpdPoint, CpdStructure, tensor_from_cpd
 
 
-def damped_system(state, cfg=SolverConfig()):
+def damped_system(state):
     """The damped direction system, assembled from operator applies."""
-    jac = columns(jhat_operator(state, cfg.jacobian_convention).apply, state.x.size)
+    jac = columns(jhat_operator(state).apply, state.x.size)
     mu = fb.DAMPING * state.rnorm / np.linalg.norm(state.x)
     return jac, mu * np.einsum("ij,ij->j", jac, jac)
 
@@ -34,7 +34,7 @@ def test_direction_zero_residual():
     problem = CpdProblem(tensor_from_cpd(planted), FeasibleSet(structure), EvalCounters())
     state = fb_step(problem, planted.flat, 1e-2)
     assert state.rnorm == 0.0
-    d, report = solve_direction(state, SolverConfig())
+    d, report = solve_direction(state)
     assert np.array_equal(d, np.zeros(structure.size))
     assert report.converged and report.iterations == 0
 
@@ -45,14 +45,14 @@ def test_direction_zero_rhs(monkeypatch):
     monkeypatch.setattr(JhatOperator, "matrix", lambda self: np.zeros((self.size, self.size)))
     _, state, _ = make_state(2)
     assert state.rnorm > 0.0
-    d, report = solve_direction(state, SolverConfig())
+    d, report = solve_direction(state)
     assert np.array_equal(d, np.zeros(state.x.size))
     assert report.converged and not report.breakdown and report.iterations == 0
 
 
 def test_direction_solves_normal_equations():
     _, state, _ = make_state(3)
-    d, report = solve_direction(state, SolverConfig())
+    d, report = solve_direction(state)
     assert report.converged and not report.breakdown and report.iterations == 1
     assert report.rel_residual <= 1e-12
     jac, damping = damped_system(state)
@@ -67,7 +67,7 @@ def test_direction_reports_true_residual(monkeypatch):
     _, state, _ = make_state(3)
     exact_solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: 0.9 * exact_solve(a, b))
-    d, report = solve_direction(state, SolverConfig())
+    d, report = solve_direction(state)
     jac, damping = damped_system(state)
     rhs = -jac.T @ state.r
     rel = np.linalg.norm(jac.T @ (jac @ d) + damping * d - rhs) / np.linalg.norm(rhs)
@@ -78,7 +78,7 @@ def test_direction_reports_true_residual(monkeypatch):
 def test_direction_matches_dense_least_squares():
     for seed, perturb in [(4, 0.3), (4, 1e-4), (8, 0.1)]:
         _, state, _ = make_state(seed, perturb=perturb)
-        d, report = solve_direction(state, SolverConfig())
+        d, report = solve_direction(state)
         assert report.converged
         jac, damping = damped_system(state)
         aug = np.vstack([jac, np.diag(np.sqrt(damping))])
@@ -88,9 +88,9 @@ def test_direction_matches_dense_least_squares():
 
 def test_direction_damping_shrinks_step(monkeypatch):
     _, state, _ = make_state(5)
-    d0, _ = solve_direction(state, SolverConfig())
+    d0, _ = solve_direction(state)
     monkeypatch.setattr(fb, "DAMPING", 1e4 * fb.DAMPING)
-    d1, _ = solve_direction(state, SolverConfig())
+    d1, _ = solve_direction(state)
     assert np.linalg.norm(d1) < np.linalg.norm(d0)
 
 
@@ -101,7 +101,7 @@ def test_direction_breakdown_on_nonfinite(monkeypatch):
     problem, state, _ = make_state(9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        d, report = solve_direction(state, SolverConfig())
+        d, report = solve_direction(state)
         assert report.breakdown and not report.converged
         result = panoc_solve(problem.tensor, problem.point(state.x), SolverConfig(max_iters=2))
     assert [row.kind for row in result.trace] == ["pgd", "pgd", "term"]
@@ -123,7 +123,7 @@ def test_direction_breakdown_on_singular(monkeypatch):
     problem, state, _ = make_state(9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        d, report = solve_direction(state, SolverConfig())
+        d, report = solve_direction(state)
         assert report.breakdown and not report.converged
         assert np.array_equal(d, np.zeros(state.x.size))
         result = panoc_solve(problem.tensor, problem.point(state.x), SolverConfig(max_iters=2))
@@ -139,13 +139,12 @@ def test_residual_map_contracts_quadratically_near_solution():
     v = rng.standard_normal(planted.structure.size)
     v /= np.linalg.norm(v)
     gamma = 5e-2
-    cfg = SolverConfig()
     ratios = []
     contractions = []
     for j in range(4):
         delta = 1e-3 * 0.5**j
         state = fb_step(problem, planted.flat + delta * v, gamma)
-        d, report = solve_direction(state, cfg)
+        d, report = solve_direction(state)
         assert report.converged
         after = fb_step(problem, state.x + d, gamma)
         ratios.append(after.rnorm / state.rnorm**2)
@@ -205,7 +204,7 @@ def test_direction_solve_holds_two_size_by_size_arrays():
     assert size >= 200
     tracemalloc.start()
     try:
-        d, report = solve_direction(state, SolverConfig())
+        d, report = solve_direction(state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -40,9 +40,16 @@ def test_spec_rejects_too_many_negatives():
         InstanceSpec(dims=(3, 3, 3), rank=1, negative_entries_per_factor=4, zeros_per_factor=0)
 
 
-def test_spec_rejects_bad_negative_range():
-    with pytest.raises(ValueError, match="neg_low"):
-        InstanceSpec(neg_low=0.0, neg_high=0.0)
+@pytest.mark.parametrize("field,value,message", [
+    ("rank", 2.5, "rank must be an integer, got 2.5"),
+    ("dims", (4, 4.7, 4), "mode size must be an integer, got 4.7"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("zeros_per_factor", 1.5, "zeros_per_factor must be an integer, got 1.5"),
+    ("negative_entries_per_factor", True, "negative_entries_per_factor must be an integer, got True"),
+], ids=["rank", "dims", "seed", "zeros_per_factor", "negative_entries_per_factor"])
+def test_spec_rejects_non_integer_fields(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        InstanceSpec(**{field: value})
 
 
 # --- exact generator -----------------------------------------------------------
@@ -104,7 +111,7 @@ def test_inexact_instance_negative_counts():
         a = rng.uniform(size=(dim, spec.rank))
         pos = rng.choice(dim * spec.rank, size=spec.negative_entries_per_factor, replace=False)
         a[np.unravel_index(pos, a.shape, order="F")] = rng.uniform(
-            spec.neg_low, spec.neg_high, size=spec.negative_entries_per_factor
+            -0.01, 0.0, size=spec.negative_entries_per_factor
         )
         factors.append(a)
     for a in factors:

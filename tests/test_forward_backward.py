@@ -178,11 +178,11 @@ def test_non_finite_objective_raises():
 # --- surrogate Jacobian -----------------------------------------------------
 
 
-def dense_jhat(problem, state, convention=0):
+def dense_jhat(problem, state):
     n = problem.structure.size
     jac = explicit_jacobian(problem.point(state.x))
     gram = jac.T @ jac
-    pel = proj_jacobian(problem.fset, state.w, convention)
+    pel = proj_jacobian(problem.fset, state.w)
     p = np.column_stack([pel.apply(np.eye(n)[:, i]) for i in range(n)])
     return np.eye(n) - p @ (np.eye(n) - state.gamma * gram)
 

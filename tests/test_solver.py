@@ -48,14 +48,25 @@ def perturbed(planted, seed, scale=0.05):
         ("epsilon", 0.0),
         ("max_iters", 0),
         ("max_tau_halvings", -1),
-        ("jacobian_convention", 2),
         ("box_bound", -1.0),
         ("max_gamma_halvings", 0),
+        ("max_iters", 2.5),
+        ("max_iters", True),
+        ("seed", 1.5),
+        ("max_tau_halvings", "5"),
+        ("max_gamma_halvings", 60.0),
+        ("cauchy_floor", "no"),
+        ("cauchy_floor", 0),
     ],
 )
 def test_config_validation(field, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=field):
         SolverConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers():
+    cfg = SolverConfig(max_iters=np.int64(7), seed=np.uint32(3), max_tau_halvings=np.int8(2))
+    assert (cfg.max_iters, cfg.seed, cfg.max_tau_halvings) == (7, 3, 2)
 
 
 # --- lipschitz estimate -------------------------------------------------------
@@ -500,7 +511,7 @@ def test_pgd_step_after_a_failed_trial_reuses_the_projected_evaluation(monkeypat
     # iteration ends in a projected-gradient step after five tau halvings;
     # that step takes the evaluation that fz made at the projected point,
     # and adds one gradient and no objective
-    def uphill(state, cfg):
+    def uphill(state):
         return 100.0 * state.r, DirectionReport(1, 0.0, True, False)
 
     steps = []
@@ -522,24 +533,12 @@ def test_pgd_step_after_a_failed_trial_reuses_the_projected_evaluation(monkeypat
     assert all(added == (0, 1) for added in to_projected)
 
 
-def test_verbatim_floor_runs():
-    # the curvature-scale variant of the floor heuristic must run, even
-    # though it typically costs many stepsize halvings
-    structure, tensor, planted = small_exact(30)
-    res = panoc_solve(
-        tensor,
-        perturbed(planted, 20),
-        SolverConfig(cauchy_reciprocal=False, max_iters=40, epsilon=1e-12),
-    )
-    assert res.reason in ("tolerance", "max-iters", "stagnation")
-
-
 def test_stagnation_reason():
     structure, tensor, planted = small_exact(31)
     res = panoc_solve(
         tensor,
         perturbed(planted, 21, scale=0.3),
-        SolverConfig(cauchy_reciprocal=False, max_gamma_halvings=1, epsilon=1e-300),
+        SolverConfig(max_gamma_halvings=1, epsilon=1e-300),
     )
     assert res.reason == "stagnation"
     assert not res.converged

@@ -450,6 +450,24 @@ def test_structure_validation():
         CpdStructure((2,), 1)
 
 
+@pytest.mark.parametrize("dims,rank,message", [
+    ((4, 4.7), 2, "mode size must be an integer, got 4.7"),
+    ((4, 4), 2.9, "rank must be an integer, got 2.9"),
+    ((4, True), 2, "mode size must be an integer, got True"),
+    ((4, 4), np.bool_(True), "rank must be an integer"),
+    ((4, "4"), 2, "mode size must be an integer, got '4'"),
+], ids=["float-size", "float-rank", "bool-size", "numpy-bool-rank", "string-size"])
+def test_structure_rejects_non_integer_sizes(dims, rank, message):
+    with pytest.raises(ValueError, match=message):
+        CpdStructure(dims, rank)
+
+
+def test_structure_takes_numpy_integers():
+    structure = CpdStructure(np.array([4, 3]), np.int32(2))
+    assert structure == CpdStructure((4, 3), 2)
+    assert all(type(d) is int for d in structure.dims) and type(structure.rank) is int
+
+
 def test_point_shape_validation():
     with pytest.raises(ValueError):
         CpdPoint([np.ones((2, 2)), np.ones((2, 3))], np.ones(2))
