@@ -84,7 +84,7 @@ def build_config(args) -> tuple[SolverConfig, InstanceSpec]:
 def cmd_decompose(args) -> int:
     cfg, instance = build_config(args)
     tensor = ten_read(args.tensor)
-    rank = args.rank if args.rank is not None else instance.rank
+    rank = instance.rank  # with --rank applied by build_config
     structure = CpdStructure(tensor.dims, rank)
     start = random_feasible_point(structure, cfg.seed)
     solve = pgd_solve if args.pgd_only else panoc_solve

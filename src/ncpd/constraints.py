@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import CpdPoint, CpdStructure
+from .tensors import CpdPoint, CpdStructure, as_real
 
 __all__ = [
     "FeasibleSet",
@@ -47,7 +47,7 @@ class FeasibleSet:
     box_bound: float | None = None
 
     def __post_init__(self):
-        if self.box_bound is not None and not self.box_bound > 0:
+        if self.box_bound is not None and not as_real(self.box_bound, "box bound") > 0:
             raise ValueError(f"box bound must be positive, got {self.box_bound}")
 
 
@@ -57,8 +57,8 @@ def project(fset: FeasibleSet, w) -> CpdPoint:
     Each factor column is clipped to the orthant and renormalized; weights
     are clipped to ``[0, M]``.  A factor column whose positive part vanishes
     has no unique nearest point on the sphere patch; the uniform unit vector
-    is returned for it and the result's ``degenerate`` flag is set.  A
-    column whose squares overflow or underflow is normalized all the same
+    is returned for it, and :func:`proj_jacobian` raises at the same ``w``.
+    A column whose squares overflow or underflow is normalized all the same
     (:func:`_unit_rows`).
 
     ``w`` is a flat vector or a point.  The projection is computed per run
@@ -72,18 +72,15 @@ def project(fset: FeasibleSet, w) -> CpdPoint:
     if w.shape != (s.size,):
         raise ValueError(f"expected flat length {s.size}, got {w.shape}")
     out = np.empty(s.size)
-    degenerate = False
     for sl, _, dim in s.mode_groups:
         block = out[sl].reshape(-1, dim)  # one row per factor column
         empty = _unit_rows(np.maximum(w[sl].reshape(-1, dim), 0.0), block) == 0.0
-        if empty.any():
-            degenerate = True
-            block[empty] = 1.0 / np.sqrt(dim)
+        block[empty] = 1.0 / np.sqrt(dim)
     ws = s.weight_slice
     np.maximum(w[ws], 0.0, out=out[ws])
     if fset.box_bound is not None:
         np.minimum(out[ws], fset.box_bound, out=out[ws])
-    return CpdPoint.from_flat(s, out, degenerate, owned=True)
+    return CpdPoint.from_flat(s, out, owned=True)
 
 
 def _unit_rows(pos: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -126,9 +126,9 @@ class StepState:
     """Everything the solver needs at one (point, stepsize) pair.
 
     Immutable in spirit: all fields are computed once; the evaluation at
-    the projected point and the Gramian are made lazily on first use and
-    kept.  Use :meth:`with_gamma` to re-evaluate the same point at a
-    different stepsize without repeating the gradient.
+    the projected point is made lazily on first use and kept.  Use
+    :meth:`with_gamma` to re-evaluate the same point at a different
+    stepsize without repeating the gradient.
 
     ``point`` is the iterate, ``x`` its flat vector, and ``z`` the point
     that :func:`~ncpd.constraints.project` returns.  These points are
@@ -154,7 +154,6 @@ class StepState:
         self.rnorm = np.sqrt(rsq)
         self.fbe = fx - float(grad @ self.r) + rsq / (2.0 * gamma)
         self._z_evaluation = None
-        self._gramian = None
 
     @property
     def z_evaluation(self) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
@@ -170,15 +169,8 @@ class StepState:
         """Objective at the projected point ``z``, from :attr:`z_evaluation`."""
         return self.z_evaluation[0]
 
-    def gramian(self) -> GramianOperator:
-        if self._gramian is None:
-            self._gramian = GramianOperator(self.point)
-        return self._gramian
-
     def with_gamma(self, gamma: float) -> "StepState":
-        state = StepState(self.problem, self.point, gamma, self.fx, self.grad)
-        state._gramian = self._gramian  # same point, stepsize-independent
-        return state
+        return StepState(self.problem, self.point, gamma, self.fx, self.grad)
 
 
 def fb_step(problem: CpdProblem, x, gamma: float, evaluation: tuple | None = None) -> StepState:
@@ -247,13 +239,13 @@ class JhatOperator:
 def jhat_operator(state: StepState) -> JhatOperator:
     """Surrogate Jacobian element at a step state, with the projection
     Jacobian element of :func:`~ncpd.constraints.proj_jacobian` at its
-    pre-projection point.
+    pre-projection point and the Gramian at its iterate.
 
     Raises :class:`~ncpd.constraints.DegenerateBlockError` when the
     pre-projection point has a factor block with no positive part.
     """
     proj_el = proj_jacobian(state.problem.fset, state.w)
-    return JhatOperator(proj_el, state.gramian(), state.gamma)
+    return JhatOperator(proj_el, GramianOperator(state.point), state.gamma)
 
 
 @dataclass(frozen=True)

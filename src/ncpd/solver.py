@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import EvalCounters, cauchy_scale
+from .calculus import EvalCounters, GramianOperator, cauchy_scale
 from .constraints import DegenerateBlockError, FeasibleSet, project
 from .forward_backward import CpdProblem, StepState, fb_step, solve_direction
 from .rng import STREAM_PROBE, substream
-from .tensors import CpdPoint, DenseTensor, as_integer, format_float
+from .tensors import CpdPoint, DenseTensor, _multi_index, as_integer, as_real, format_float
 
 __all__ = [
     "SolverConfig",
@@ -84,6 +84,8 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("max_iters", "max_tau_halvings", "seed", "max_gamma_halvings"):
             as_integer(getattr(self, name), name)
+        for name in ("alpha", "beta", "epsilon"):
+            as_real(getattr(self, name), name)
         if not isinstance(self.cauchy_floor, bool):
             raise ValueError(f"cauchy_floor must be a bool, got {self.cauchy_floor!r}")
         if not 0.0 < self.alpha < 1.0:
@@ -96,7 +98,7 @@ class SolverConfig:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.max_tau_halvings < 0:
             raise ValueError(f"max_tau_halvings must be nonnegative, got {self.max_tau_halvings}")
-        if self.box_bound is not None and not self.box_bound > 0.0:
+        if self.box_bound is not None and not as_real(self.box_bound, "box_bound") > 0.0:
             raise ValueError(f"box_bound must be positive, got {self.box_bound}")
         if self.max_gamma_halvings < 1:
             raise ValueError(f"max_gamma_halvings must be at least 1, got {self.max_gamma_halvings}")
@@ -324,7 +326,7 @@ def _check_finite(tensor: DenseTensor, x0: CpdPoint) -> None:
     is evaluated."""
     bad = np.flatnonzero(~np.isfinite(tensor.values))
     if bad.size:
-        index = tuple(int(i) for i in np.unravel_index(bad[0], tensor.dims, order="F"))
+        index = _multi_index(int(bad[0]), tensor.dims)
         raise ValueError(f"tensor has a non-finite value {tensor.values[bad[0]]} at index {index}")
     bad = np.flatnonzero(~np.isfinite(x0.flat))
     if not bad.size:
@@ -344,8 +346,7 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, ga
     lip = estimate_lipschitz(
         lambda v: problem.gradient(problem.point(v)), start.flat, LIPSCHITZ_FD_STEP, cfg.seed
     )
-    gamma = cfg.alpha / lip
-    state = fb_step(problem, start, gamma)
+    state = fb_step(problem, start, cfg.alpha / lip)
     k = 0
     gh_pending = 0
     gh_total = 0
@@ -372,13 +373,12 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, ga
     def halve_gamma():
         """Re-evaluate the current iterate at half the stepsize; ``False``
         when the halving budget is spent."""
-        nonlocal gamma, gh_pending, gh_total, state
+        nonlocal gh_pending, gh_total, state
         if gh_total >= cfg.max_gamma_halvings:
             return False
-        gamma *= 0.5
         gh_pending += 1
         gh_total += 1
-        state = state.with_gamma(gamma)
+        state = state.with_gamma(0.5 * state.gamma)
         return True
 
     while True:
@@ -388,19 +388,21 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, ga
                 return finish(state, snapshot(state), "stagnation")
 
         base = snapshot(state)
-        if state.rnorm**2 / gamma <= cfg.epsilon:
+        if state.rnorm**2 / state.gamma <= cfg.epsilon:
             return finish(state, base, "tolerance")
         if k >= cfg.max_iters:
             return finish(state, base, "max-iters")
 
+        # A factor block of w with no positive part has no projection
+        # Jacobian, so solve_direction raises and the step is pgd.
         direction = None
-        if gauss_newton and not state.z.degenerate:
+        if gauss_newton:
             try:
                 d, report = solve_direction(state)
                 if not report.breakdown:
                     direction = d
             except DegenerateBlockError:
-                direction = None
+                pass
 
         tau = 1.0 if direction is not None else 0.0
         kind = "gn" if direction is not None else "pgd"
@@ -408,9 +410,9 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, ga
         restart = False
         while True:
             if tau > 0.0:
-                cand = fb_step(problem, (1.0 - tau) * state.z.flat + tau * (state.x + direction), gamma)
+                cand = fb_step(problem, (1.0 - tau) * state.z.flat + tau * (state.x + direction), state.gamma)
             else:  # the projected point, whose evaluation fz has made
-                cand = fb_step(problem, state.z, gamma, state.z_evaluation)
+                cand = fb_step(problem, state.z, state.gamma, state.z_evaluation)
                 kind = "pgd"
             if not gamma_condition(cand, cfg.alpha):
                 if not halve_gamma():
@@ -418,7 +420,7 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, ga
                 restart = True
                 break
             if tau > 0.0:
-                bound = state.fbe - (1.0 - cfg.alpha) / (2.0 * gamma) * cfg.beta * state.rnorm**2
+                bound = state.fbe - (1.0 - cfg.alpha) / (2.0 * state.gamma) * cfg.beta * state.rnorm**2
                 if cand.fbe > bound:
                     if th < cfg.max_tau_halvings:
                         tau *= 0.5
@@ -439,13 +441,12 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, ga
             g = cand.grad
             gg = float(g @ g)
             if gg > 0.0:
-                # One Gramian product per floor.  A Gauss-Newton step's next
-                # direction solve reuses the operator; a projected-gradient
-                # step needs none.
+                # One Gramian product per floor.  A Gauss-Newton solve takes
+                # it through an operator, which rounds as its traces were
+                # recorded; a projected-gradient solve from R-by-R products.
                 counters.gramian_applies += 1
-                op = cand.gramian() if gauss_newton else None
+                op = GramianOperator(cand.point) if gauss_newton else None
                 eta = cauchy_scale(cand.point, g, op=op)
-                if np.isfinite(eta) and eta > gamma:
-                    gamma = eta
-                    cand = cand.with_gamma(gamma)
+                if np.isfinite(eta) and eta > cand.gamma:
+                    cand = cand.with_gamma(eta)
         state = cand

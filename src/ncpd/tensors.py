@@ -21,6 +21,7 @@ import functools
 import io
 import itertools
 import math
+import numbers
 import os
 import stat
 from dataclasses import dataclass
@@ -57,6 +58,14 @@ def as_integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_real(value, name: str) -> float:
+    """``value`` as a ``float``; :class:`ValueError` naming ``name`` when it
+    is not a real number (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,16 +240,13 @@ class CpdPoint:
         List of N matrices, one per mode, each of shape ``(I_n, R)``.
     weights:
         Length-R weight vector.
-    degenerate:
-        Event flag set by the feasible-set projection when some factor block
-        collapsed to the degenerate case; carried along for diagnostics.
 
     Instances are value objects: the stored arrays are copies and marked
     read-only.  No feasibility is implied; mid-iteration points are generally
     infeasible.
     """
 
-    def __init__(self, factors, weights, degenerate: bool = False):
+    def __init__(self, factors, weights):
         factors = [np.array(a, dtype=np.float64) for a in factors]
         weights = np.array(weights, dtype=np.float64)
         if len(factors) < 2:
@@ -253,16 +259,15 @@ class CpdPoint:
                 raise ValueError(
                     f"factor {n} has shape {a.shape}, expected (I_{n}, {rank})"
                 )
-        self._own(factors, weights, degenerate)
+        self._own(factors, weights)
 
-    def _own(self, factors: list[np.ndarray], weights: np.ndarray, degenerate: bool) -> None:
+    def _own(self, factors: list[np.ndarray], weights: np.ndarray) -> None:
         """Store arrays this point alone holds, marked read-only."""
         for a in factors:
             a.setflags(write=False)
         weights.setflags(write=False)
         self.factors = factors
         self.weights = weights
-        self.degenerate = bool(degenerate)
 
     @cached_property
     def structure(self) -> CpdStructure:
@@ -275,7 +280,7 @@ class CpdPoint:
         return out
 
     @classmethod
-    def from_flat(cls, structure: CpdStructure, x, degenerate: bool = False, owned: bool = False) -> "CpdPoint":
+    def from_flat(cls, structure: CpdStructure, x, owned: bool = False) -> "CpdPoint":
         """The point whose flat layout is ``x``.  ``flat`` is a read-only
         copy of ``x``, the weights a view of it, and each factor block is
         copied once, to a row-major matrix; the shapes are valid by
@@ -286,7 +291,7 @@ class CpdPoint:
         factors, weights = structure._views(flat) if owned else structure.split(flat)
         flat.setflags(write=False)
         point = cls.__new__(cls)
-        point._own([a.copy() for a in factors], weights, degenerate)
+        point._own([a.copy() for a in factors], weights)
         point.structure = structure
         point.flat = flat
         return point

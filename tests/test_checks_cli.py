@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -6,7 +7,7 @@ import pytest
 
 from ncpd.calculus import GramianOperator
 from ncpd.checks import run_checks
-from ncpd.cli import main
+from ncpd.cli import _parser, main
 from ncpd.experiments import (
     InstanceSpec,
     gen_exact_instance,
@@ -283,7 +284,10 @@ def test_config_invalid_field_value(tensor_file, tmp_path, capsys):
     ({"solver": {"max_iters": True}}, "invalid solver config: max_iters must be an integer, got True"),
     ({"solver": {"seed": 1.5}}, "invalid solver config: seed must be an integer, got 1.5"),
     ({"solver": {"cauchy_floor": "no"}}, "invalid solver config: cauchy_floor must be a bool, got 'no'"),
-], ids=["rank", "dims", "zeros_per_factor", "max_iters", "max_iters-bool", "seed", "cauchy_floor"])
+    ({"solver": {"box_bound": True}}, "invalid solver config: box_bound must be a real number, got True"),
+    ({"solver": {"alpha": "0.5"}}, "invalid solver config: alpha must be a real number, got '0.5'"),
+], ids=["rank", "dims", "zeros_per_factor", "max_iters", "max_iters-bool", "seed", "cauchy_floor", "box_bound-bool",
+        "alpha-string"])
 def test_config_non_integer_value_exits_1_and_writes_nothing(overlay, message, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(overlay))
@@ -421,8 +425,20 @@ def test_check_passes_its_seed_to_the_checks(monkeypatch):
     assert calls == [{"scale": "tiny", "seed": 3}, {"scale": "tiny", "seed": 0}]
 
 
-@pytest.mark.parametrize("flag", [["--rank", "3"], ["--convention", "1"], ["--config", "c.json"],
-                                  ["--no-cauchy-floor"]])
-def test_check_rejects_solver_flags(flag):
+def options_of_solve_commands_only() -> list[str]:
+    """The options that ``decompose`` and ``experiment`` both take and
+    ``check`` does not, read from the parser."""
+    commands = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    options = {name: set(sub._option_string_actions) for name, sub in commands.items()}
+    return sorted(options["decompose"] & options["experiment"] - options["check"])
+
+
+def test_solve_commands_have_options_check_lacks():
+    assert {"--rank", "--config"} <= set(options_of_solve_commands_only())
+
+
+@pytest.mark.parametrize("flag", [[option, "1"] for option in options_of_solve_commands_only()])
+def test_check_rejects_solver_flags(flag, capsys):
     with pytest.raises(SystemExit):
         main(["check", *flag])
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err

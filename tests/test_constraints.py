@@ -38,6 +38,12 @@ def test_project_weights_clamped():
     assert np.array_equal(z.weights, [0.0, 5.0])
 
 
+@pytest.mark.parametrize("box", [True, "2.0", -1.0, 0.0])
+def test_box_bound_must_be_a_positive_real(box):
+    with pytest.raises(ValueError, match="box bound"):
+        fset(box=box)
+
+
 def test_project_box_bound():
     s = fset(dims=(2, 2), rank=2, box=3.0)
     w = np.concatenate([np.ones(8), [-2.0, 5.0]])
@@ -49,7 +55,7 @@ def test_project_feasible_input_unchanged(rng):
     z = project(s, rng.uniform(0.1, 1.0, size=s.structure.size))
     again = project(s, z.flat)
     assert np.allclose(again.flat, z.flat, atol=1e-15)
-    assert not again.degenerate
+    proj_jacobian(s, z.flat)  # no degenerate block
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -76,8 +82,9 @@ def test_project_degenerate_block_uniform():
     s = fset(dims=(4, 2), rank=1)
     w = np.concatenate([-np.ones(4), np.ones(2), [1.0]])
     z = project(s, w)
-    assert z.degenerate
     assert np.allclose(z.factors[0][:, 0], np.full(4, 0.5), atol=1e-15)
+    with pytest.raises(DegenerateBlockError):
+        proj_jacobian(s, w)
 
 
 def test_project_accepts_point(rng):
@@ -107,8 +114,8 @@ def test_project_huge_column_is_unit_without_a_warning(scale):
     column = z.flat[EXTREME_COLUMN]
     assert np.linalg.norm(column) == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(column, np.array([1.0, 0.5, 0.0, 0.25]) / np.sqrt(1.3125), rtol=4e-16, atol=0.0)
-    assert not z.degenerate
     assert is_feasible(s, z)
+    proj_jacobian(s, w)  # no degenerate block
 
 
 def test_project_tiny_column_keeps_its_direction():
@@ -119,7 +126,7 @@ def test_project_tiny_column_keeps_its_direction():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         z = project(s, w)
-    assert not z.degenerate
+    proj_jacobian(s, w)  # no degenerate block
     assert np.array_equal(z.flat[EXTREME_COLUMN], [0.6, 0.0, 0.8, 0.0])
     # every other column keeps the bits of the column loop
     assert np.array_equal(z.flat[8:], oracles.project_loop(w, (4, 3, 2), 2)[0][8:])

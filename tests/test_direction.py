@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncpd.forward_backward as fb
+import oracles
 from helpers import columns, make_state
 from ncpd.calculus import EvalCounters, GramianOperator, explicit_jacobian
-from ncpd.constraints import FeasibleSet
+from ncpd.constraints import DegenerateBlockError, FeasibleSet
 from ncpd.forward_backward import CpdProblem, JhatOperator, fb_step, jhat_operator, solve_direction
 from ncpd.solver import SolverConfig, panoc_solve
 from ncpd.tensors import CpdPoint, CpdStructure, tensor_from_cpd
@@ -23,6 +24,35 @@ def damped_system(state):
 
 
 # --- direction solve --------------------------------------------------------
+
+
+def test_direction_raises_exactly_on_a_degenerate_block():
+    # the solver's one degenerate-block test: a factor column of w = x -
+    # gamma grad with no positive part, as the column-loop projection
+    # reports it, makes solve_direction raise, and nothing else does
+    structure = CpdStructure((3, 2, 4), 2)
+    rng = np.random.default_rng(5)
+    tensor = tensor_from_cpd(CpdPoint([rng.uniform(0.1, 1.0, (d, 2)) for d in structure.dims], [1.5, 0.7]))
+    problem = CpdProblem(tensor, FeasibleSet(structure))
+    degenerate_count = 0
+    for _ in range(200):
+        x = rng.standard_normal(structure.size) + 0.3
+        for mode in range(structure.num_modes):
+            for column in range(structure.rank):
+                block = structure.block_slice(mode, column)
+                if rng.random() < 0.1:
+                    x[block] = -np.abs(x[block])
+                elif rng.random() < 0.05:
+                    x[block] = 0.0
+        state = fb_step(problem, x, 1e-3)
+        _, degenerate = oracles.project_loop(state.w, structure.dims, structure.rank)
+        if degenerate:
+            degenerate_count += 1
+            with pytest.raises(DegenerateBlockError):
+                solve_direction(state)
+        else:
+            solve_direction(state)
+    assert 0 < degenerate_count < 200
 
 
 def test_direction_zero_residual():
@@ -184,15 +214,16 @@ def test_jhat_matrix_matches_apply(dims, rank):
         op = jhat_operator(st_)
         assert np.allclose(op.matrix(), columns(op.apply, op.size), rtol=0.0, atol=1e-13)
     # dense() hands out a fresh matrix: scaling it in place, as matrix()
-    # does, gives the bits of dense() * -gamma and leaves the matrix that a
-    # stepsize halving at the same point assembles as it was
-    dense = state.gramian().dense()
+    # does, gives the bits of dense() * -gamma and leaves the matrix that
+    # the same operator assembles next as it was
+    gram = GramianOperator(state.point)
+    dense = gram.dense()
     first, scaled = dense.copy(), dense * -state.gamma
     dense *= -state.gamma
     assert np.array_equal(dense.view(np.uint64), scaled.view(np.uint64))
-    halved = state.with_gamma(state.gamma / 2).gramian().dense()
-    assert halved.flags.writeable
-    assert np.array_equal(halved.view(np.uint64), first.view(np.uint64))
+    again = gram.dense()
+    assert again.flags.writeable
+    assert np.array_equal(again.view(np.uint64), first.view(np.uint64))
 
 
 def test_direction_solve_holds_two_size_by_size_arrays():

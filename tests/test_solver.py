@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import random_feasible, strictly_positive_point
-from ncpd.constraints import FeasibleSet, project
+from ncpd.constraints import DegenerateBlockError, FeasibleSet, project
 from ncpd.calculus import EvalCounters, GramianOperator, explicit_jacobian
 from ncpd.experiments import InstanceSpec, gen_inexact_instance, random_feasible_point
 import ncpd.solver as solver
-from ncpd.forward_backward import CpdProblem, DirectionReport, fb_step
+from ncpd.forward_backward import CpdProblem, DirectionReport, fb_step, solve_direction
 from ncpd.solver import (
     NonFiniteError,
     SolverConfig,
@@ -57,6 +57,11 @@ def perturbed(planted, seed, scale=0.05):
         ("max_gamma_halvings", 60.0),
         ("cauchy_floor", "no"),
         ("cauchy_floor", 0),
+        ("alpha", True),
+        ("beta", "0.5"),
+        ("epsilon", True),
+        ("box_bound", True),
+        ("box_bound", "2.0"),
     ],
 )
 def test_config_validation(field, value):
@@ -67,6 +72,11 @@ def test_config_validation(field, value):
 def test_config_takes_numpy_integers():
     cfg = SolverConfig(max_iters=np.int64(7), seed=np.uint32(3), max_tau_halvings=np.int8(2))
     assert (cfg.max_iters, cfg.seed, cfg.max_tau_halvings) == (7, 3, 2)
+
+
+def test_config_takes_integer_and_numpy_reals():
+    cfg = SolverConfig(alpha=np.float32(0.5), epsilon=np.float64(1e-12), box_bound=2)
+    assert (cfg.alpha, cfg.epsilon, cfg.box_bound) == (0.5, 1e-12, 2)
 
 
 # --- lipschitz estimate -------------------------------------------------------
@@ -531,6 +541,28 @@ def test_pgd_step_after_a_failed_trial_reuses_the_projected_evaluation(monkeypat
     to_projected = [added for x, added in steps[1:] if isinstance(x, CpdPoint)]  # steps[0] is the start
     assert len(to_projected) >= 10
     assert all(added == (0, 1) for added in to_projected)
+
+
+def test_a_degenerate_block_gives_a_pgd_step_and_the_solve_goes_on(monkeypatch):
+    # solve_direction raises where the pre-projection point has a factor
+    # block with no positive part; the solver takes the projected-gradient
+    # step there and goes on with Gauss-Newton directions
+    calls = []
+
+    def degenerate_first(state):
+        calls.append(state)
+        if len(calls) == 1:
+            raise DegenerateBlockError("factor block (mode 0, column 0) has no positive part")
+        return solve_direction(state)
+
+    monkeypatch.setattr(solver, "solve_direction", degenerate_first)
+    structure, tensor, planted = small_exact(29)
+    res = panoc_solve(tensor, perturbed(planted, 19, scale=0.3))
+    first = res.trace[0]
+    assert (first.kind, first.tau, first.tau_halvings) == ("pgd", 0.0, 0)
+    assert len(calls) > 1
+    assert "gn" in [r.kind for r in res.trace.records[1:]]
+    assert res.converged
 
 
 def test_stagnation_reason():
