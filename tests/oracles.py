@@ -240,10 +240,11 @@ def proj_jacobian_apply_loop(blocks, dims, rank, v):
     return out
 
 
-def gramian_apply_loop(factors, weights, v):
-    """Gramian apply with the per-mode cross-product weights rebuilt and the
-    mix terms summed one (mode, mode) pair at a time."""
-    dims = tuple(a.shape[0] for a in factors)
+def gramian_weights(factors, weights):
+    """The per-mode cross products ``a.T @ a`` and their Hadamard products
+    over all modes but one (``w_except[i]``) or two (``w_pair[(i, j)]``, i <
+    j), multiplied from ones in increasing mode order; ``w_all``, the
+    product over all modes; and ``λλᵀ``."""
     rank = len(weights)
     n = len(factors)
     cross = [a.T @ a for a in factors]
@@ -263,8 +264,16 @@ def gramian_apply_loop(factors, weights, v):
                     w = w * cross[m]
             w_pair[(i, j)] = w
     w_all = w_except[0] * cross[0]
-    lam_outer = np.outer(weights, weights)
+    return w_except, w_pair, w_all, np.outer(weights, weights)
 
+
+def gramian_apply_loop(factors, weights, v):
+    """Gramian apply with the per-mode cross-product weights rebuilt and the
+    mix terms summed one (mode, mode) pair at a time."""
+    dims = tuple(a.shape[0] for a in factors)
+    rank = len(weights)
+    n = len(factors)
+    w_except, w_pair, w_all, lam_outer = gramian_weights(factors, weights)
     v = np.asarray(v, dtype=np.float64)
     vf, vw = mode_views(v, dims, rank)
     dots = [factors[m].T @ vf[m] for m in range(n)]
@@ -283,6 +292,73 @@ def gramian_apply_loop(factors, weights, v):
         out_w = out_w + (w_except[j] * dots[j]) @ weights
     parts.append(out_w)
     return np.concatenate(parts)
+
+
+def gramian_dense_loop(factors, weights):
+    """The Gramian's dense matrix, one block at a time: per mode the
+    diagonal block ``kron(λλᵀ∘W_i, I)``, per pair of modes i < j the block
+    ``einsum("rs,is,jr->risj", λλᵀ∘W_ij, A_i, A_j)`` and its transposed
+    copy below, per mode the weight block ``(λ∘W_i)[r, s] A_i[k, s]`` at
+    row (r, k) and its transposed copy, and ``w_all`` for the weights."""
+    dims = tuple(a.shape[0] for a in factors)
+    rank = len(weights)
+    n = len(factors)
+    w_except, w_pair, w_all, lam_outer = gramian_weights(factors, weights)
+    starts = np.cumsum((0,) + tuple(rank * d for d in dims))
+    rows = [slice(starts[i], starts[i + 1]) for i in range(n)]
+    ws = slice(starts[-1], starts[-1] + rank)
+    g = np.empty((ws.stop, ws.stop))
+    for i in range(n):
+        g[rows[i], rows[i]] = np.kron(lam_outer * w_except[i], np.eye(dims[i]))
+        for j in range(i + 1, n):
+            block = np.einsum("rs,is,jr->risj", lam_outer * w_pair[(i, j)], factors[i], factors[j])
+            g[rows[i], rows[j]] = block.reshape(rank * dims[i], rank * dims[j])
+            g[rows[j], rows[i]] = g[rows[i], rows[j]].T
+        lam_w = weights[:, None] * w_except[i]
+        g[rows[i], ws] = (lam_w[:, None, :] * factors[i]).reshape(-1, rank)
+        g[ws, rows[i]] = g[rows[i], ws].T
+    g[ws, ws] = w_all
+    return g
+
+
+def jhat_matrix_loop(blocks, dims, rank, gram, gamma):
+    """``I - P (I - gamma G)`` from the dense Gramian ``gram`` and the
+    projection Jacobian ``blocks`` of :func:`proj_jacobian_blocks`: ``-gamma
+    G`` with 1 added on its diagonal, ``P`` applied one factor column's
+    dense block ``(diag(clamp) - z z^T) / ||positive part||`` at a time and
+    the weight clamps row by row, then negated with 1 added on its
+    diagonal."""
+    directions, inv_norms, clamps, wd = blocks
+    diagonal = np.diag_indices(gram.shape[0])
+    inner = gram * -gamma
+    inner[diagonal] += 1.0
+    out = np.empty_like(inner)
+    idx = 0
+    pos = 0
+    for d in dims:
+        for _ in range(rank):
+            z = directions[idx]
+            block = clamps[idx][:, None] * np.eye(d) - np.outer(z, z)
+            block *= inv_norms[idx]
+            out[pos : pos + d] = block @ inner[pos : pos + d]
+            idx += 1
+            pos += d
+    out[pos:] = wd[:, None] * inner[pos:]
+    out *= -1.0
+    out[diagonal] += 1.0
+    return out
+
+
+def direction_solve(jac, r, x, rnorm, damping):
+    """The damped Gauss-Newton direction from the surrogate matrix ``jac``:
+    ``(jac^T jac + mu diag(jac^T jac)) d = -jac^T r`` with ``mu = damping
+    rnorm / ||x||``, by ``np.linalg.solve``; returns ``d`` and the relative
+    residual of the damped system."""
+    rhs = -(r @ jac)
+    lhs = jac.T @ jac
+    lhs[np.diag_indices(lhs.shape[0])] *= 1.0 + damping * rnorm / float(np.linalg.norm(x))
+    d = np.linalg.solve(lhs, rhs)
+    return d, float(np.linalg.norm(lhs @ d - rhs)) / float(np.linalg.norm(rhs))
 
 
 def jhat_apply_loop(pj_apply, gram_apply, gamma, v):

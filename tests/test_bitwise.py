@@ -4,7 +4,9 @@ Solver traces are chaotic under rounding (one changed last bit moves
 iteration counts and convergence slopes), so the fast paths of
 ``project``, ``ProjJacobianElement.apply``, ``GramianOperator.apply`` and
 ``JhatOperator.apply``/``apply_transpose`` must reproduce the per-block
-loops exactly, signed zeros included, and the evaluation core
+loops exactly, signed zeros included, as must the dense system the
+direction solve assembles (``GramianOperator.dense``,
+``JhatOperator.matrix``) and the direction it solves for; the evaluation core
 (``objective_value``, ``gradient`` and the pair
 ``value_and_residual``/``gradient_from_residual``) must reproduce a
 reference evaluation at every number of modes: a plain loop over the
@@ -27,7 +29,8 @@ import ncpd.tensors as tensors
 import oracles
 from ncpd.calculus import EvalCounters, GramianOperator, gradient, gradient_from_residual
 from ncpd.constraints import DegenerateBlockError, FeasibleSet, proj_jacobian, project
-from ncpd.forward_backward import CpdProblem, JhatOperator, fb_step
+from helpers import make_state
+from ncpd.forward_backward import DAMPING, CpdProblem, JhatOperator, fb_step, solve_direction
 from ncpd.tensors import (
     CpdPoint,
     CpdStructure,
@@ -190,6 +193,30 @@ def test_jhat_applies_match_loop_composition_bitwise(case):
     assert_bitwise(op.apply_transpose(v), oracles.jhat_apply_transpose_loop(pj, gram, gamma, v))
 
 
+def assert_dense_system_matches_block_loops(structure, box, w, point, gamma):
+    """``GramianOperator.dense`` and ``JhatOperator.matrix`` against the
+    block-by-block assemblies, where ``w`` has no degenerate block."""
+    dims, rank = structure.dims, structure.rank
+    gram = GramianOperator(point)
+    want = oracles.gramian_dense_loop(point.factors, point.weights)
+    assert_bitwise(gram.dense(), want)
+    blocks = oracles.proj_jacobian_blocks(w, dims, rank, box)
+    op = JhatOperator(proj_jacobian(FeasibleSet(structure, box), w), gram, gamma)
+    assert_bitwise(op.matrix(), oracles.jhat_matrix_loop(blocks, dims, rank, want, gamma))
+
+
+@given(cases())
+@settings(max_examples=300, deadline=None)
+def test_dense_system_matches_block_loops_bitwise(case):
+    structure, box, w, point, _, gamma = case
+    try:
+        proj_jacobian(FeasibleSet(structure, box), w)
+    except DegenerateBlockError:
+        assert_bitwise(GramianOperator(point).dense(), oracles.gramian_dense_loop(point.factors, point.weights))
+        return
+    assert_dense_system_matches_block_loops(structure, box, w, point, gamma)
+
+
 @pytest.mark.parametrize("dims,rank", [((10, 10, 10), 5), ((30, 30, 30, 30), 8), ((25, 40, 12, 40), 9)])
 def test_operators_match_loops_bitwise_at_solver_sizes(dims, rank):
     # the study and benchmark shapes, where BLAS takes its larger-size paths
@@ -206,6 +233,22 @@ def test_operators_match_loops_bitwise_at_solver_sizes(dims, rank):
     assert_bitwise(op.apply(v), oracles.jhat_apply_loop(pj, gram, gamma, v))
     assert_bitwise(op.apply_transpose(v), oracles.jhat_apply_transpose_loop(pj, gram, gamma, v))
     assert_projection_matches_column_loop(structure, None, w)
+    assert_dense_system_matches_block_loops(structure, None, w, point, gamma)
+
+
+def test_direction_matches_reference_solve_bitwise():
+    # at the paper's size: the reference surrogate, its normal matrix, the
+    # damping on its diagonal and one np.linalg.solve
+    _, state, _ = make_state(12, dims=(10, 10, 10), rank=5)
+    structure = state.point.structure
+    d, report = solve_direction(state)
+    gram = oracles.gramian_dense_loop(state.point.factors, state.point.weights)
+    blocks = oracles.proj_jacobian_blocks(state.w, structure.dims, structure.rank)
+    jac = oracles.jhat_matrix_loop(blocks, structure.dims, structure.rank, gram, state.gamma)
+    want_d, want_rel = oracles.direction_solve(jac, state.r, state.x, state.rnorm, DAMPING)
+    assert report.converged and report.iterations == 1
+    assert_bitwise(d, want_d)
+    assert_bitwise(np.float64(report.rel_residual), np.float64(want_rel))
 
 
 # --- the evaluation core -----------------------------------------------------
