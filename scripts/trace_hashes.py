@@ -40,18 +40,23 @@ Groups:
   and projected gradient;
 * ``large-gn`` / ``large-pgd``: the (30,30,30,30) rank-8 inexact instance
   of study seed 1 from its study start point, 3 Gauss-Newton or 100
-  projected-gradient iterations.
+  projected-gradient iterations;
+* ``runs-gn``: Gauss-Newton solves to their stop of inexact instances
+  whose mode sizes form several runs, (6,5,4,3) and (5,4,3,3,2) rank 3
+  with 2 zeros and 2 negative entries per factor, seeds 1-3 each, from the
+  study start point of their seed.
 
 After the groups, one ``exact`` line gives, per shape of the exact-fit
 instances ((10,10,10) rank 5 with the study's 10 zeros per factor; (7,5),
 (6,5,4,3) and (5,4,3,3,2) rank 3 with 2), how many planted points of seeds
-1-20 evaluate to exactly f = 0 on the tensor built from them.  Then one
-``memory`` line gives, from one fresh process per group, the growth of
-``ru_maxrss`` over the ``large-gn`` solve (the peak resident memory that
-solve adds, in MB) and the minor page faults per ``compare-gn`` and
-``large-gn`` solve (``ru_minflt``).  These figures vary from run to run;
-``--baseline`` gives no verdict on the ``exact`` and ``memory`` lines and
-skips them in the saved output.
+1-20 evaluate to exactly f = 0 on the tensor built from them; with
+``--baseline`` it gets a verdict, ``exact  same`` or ``exact  differs``.
+Then one ``memory`` line gives, from one fresh process per group, the
+growth of ``ru_maxrss`` over the ``large-gn`` solve (the peak resident
+memory that solve adds, in MB) and the minor page faults per
+``compare-gn`` and ``large-gn`` solve (``ru_minflt``).  These figures vary
+from run to run; ``--baseline`` gives no verdict on the ``memory`` line
+and skips it in the saved output.
 
 BLAS runs on one thread, so that the results do not depend on the thread
 count of the machine.
@@ -93,6 +98,10 @@ EXACT_SPECS = [InstanceSpec()] + [
     for dims in [(7, 5), (6, 5, 4, 3), (5, 4, 3, 3, 2)]
 ]
 EXACT_SEEDS = range(1, 21)
+RUN_SPECS = [
+    InstanceSpec(dims=dims, rank=3, zeros_per_factor=2, negative_entries_per_factor=2)
+    for dims in [(6, 5, 4, 3), (5, 4, 3, 3, 2)]
+]
 
 
 def quadratic():
@@ -143,12 +152,21 @@ def large(solve, max_iters):
     return group
 
 
+def runs():
+    """Gauss-Newton solves of the ``RUN_SPECS`` instances, seeds 1-3 each."""
+    for spec in RUN_SPECS:
+        for seed in range(1, 4):
+            tensor = gen_inexact_instance(replace(spec, seed=seed))
+            yield panoc_solve(tensor, random_feasible_point(spec.structure, seed), SolverConfig(seed=seed))
+
+
 GROUPS = {
     "quadratic": quadratic,
     "compare-gn": compare(panoc_solve),
     "compare-pgd": compare(pgd_solve),
     "large-gn": large(panoc_solve, 3),
     "large-pgd": large(pgd_solve, 100),
+    "runs-gn": runs,
 }
 
 
@@ -246,16 +264,16 @@ def group_lines(name: str, without: str | None) -> list[str]:
 
 def read_baseline(path) -> dict[str, list[str]]:
     """A saved output's lines by group: a line starting with a group name
-    opens or continues that group, and an indented line continues the last
-    one.  Verdict lines of an output made with ``--baseline`` and the
-    ``exact`` and ``memory`` lines are skipped."""
+    or ``exact`` opens or continues that group, and an indented line
+    continues the last one.  Verdict lines of an output made with
+    ``--baseline`` and the ``memory`` line are skipped."""
     groups, name = {}, None
     with open(path, encoding="utf-8") as fh:
         for line in fh.read().splitlines():
             first = line.split(maxsplit=1)[0] if line.strip() else ""
-            if first in GROUPS:
+            if first in GROUPS or first == "exact":
                 name = first
-            elif first in ("exact", "memory"):
+            elif first == "memory":
                 name = None
             if name is None or line.startswith(tuple(f"{name}  {v}" for v in ("same", "only", "rounding", "differs"))):
                 continue
@@ -270,12 +288,15 @@ def fields(line: str) -> dict[str, str]:
 
 def group_verdict(lines: list[str], baseline: list[str] | None, without: str | None = None) -> str:
     """The verdict on a group's lines against the baseline's, ``without``
-    the column left out of the ``traces-without-`` hash."""
+    the column left out of the ``traces-without-`` hash.  Lines without
+    hashes, as the ``exact`` line, are ``same`` or ``differs``."""
     if baseline == lines:
         return "same"
     if baseline is None:
         return "differs"
     ours, theirs = fields(lines[0]), fields(baseline[0])
+    if "traces" not in ours:
+        return "differs"
     agree = (f"traces-without-{without}", "points", "f", without)
     if without and lines[1:] == baseline[1:] and all(key in theirs for key in agree) \
             and all(ours[key] == theirs[key] for key in agree[:3]):
@@ -302,14 +323,13 @@ def main(argv=None) -> int:
     baseline = read_baseline(args.baseline) if args.baseline else None
     memory = memory_line()  # printed last, measured before the groups
     status = 0
-    for name in args.groups or GROUPS:
-        lines = group_lines(name, args.without)
+    for name in [*(args.groups or GROUPS), "exact"]:
+        lines = [exact_line()] if name == "exact" else group_lines(name, args.without)
         if baseline is not None:
             verdict = group_verdict(lines, baseline.get(name), args.without)
             lines.append(f"{name}  {verdict}")
             status = status or int(verdict != "same")
         print("\n".join(lines), flush=True)
-    print(exact_line(), flush=True)
     print(memory, flush=True)
     return status
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import CpdPoint, DenseTensor, mttkrps, value_and_residual
+from .tensors import CpdPoint, DenseTensor, _identity, mttkrps, value_and_residual
 
 __all__ = [
     "EvalCounters",
@@ -117,10 +117,8 @@ class GramianOperator:
     def __init__(self, point: CpdPoint):
         self.point = point
         s = point.structure
-        factors = point.factors
         n, rank = s.num_modes, s.rank
-        # runs of equal-size modes, with their factors stacked
-        self._groups = [(sl, modes, dim, np.stack(factors[modes])) for sl, modes, dim in s.mode_groups]
+        self._groups = [(*group, fac) for group, fac in zip(s.mode_groups, s.stacked_factors(point.flat))]
         cross = np.empty((n, rank, rank))
         for _, modes, _, fac in self._groups:
             np.matmul(fac.transpose(0, 2, 1), fac, out=cross[modes])
@@ -133,7 +131,7 @@ class GramianOperator:
         # The apply forms (λλᵀ∘W)∘D, which is λλᵀ∘W∘D evaluated left to
         # right, so caching the first product changes no rounding.
         lam = point.weights
-        lam_outer = np.outer(lam, lam)
+        lam_outer = lam[:, None] * lam[None, :]
         self._lw_except = lam_outer * w_except
         self._lw_pair = lam_outer * _hadamard(cross, rest)
         self._lam_w_except = lam[:, None] * w_except
@@ -176,27 +174,42 @@ class GramianOperator:
         """The Gramian as a dense matrix, assembled afresh on every call in
         O(size^2) from the cached cross products and handed to the caller,
         writable; nothing keeps it.
-        With ``W_n``, ``W_nm`` the Hadamard products of the cross products
-        of all modes but n (resp. n and m), the entry of factor entries
-        (n, r, i) and (m, s, j) is
-        ``λ_r λ_s W_nm[r, s] a_s^(n)[i] a_r^(m)[j]`` for n != m and
-        ``λ_r λ_s W_n[r, s] δ_ij`` for n = m; a factor entry (n, r, i) and a
-        weight s give ``λ_r W_n[r, s] a_s^(n)[i]``, and two weights the
-        Hadamard product of all cross products."""
+
+        Solver traces are chaotic under rounding, so each entry keeps the
+        product order of the kron/einsum assembly in ``tests/oracles.py``.
+        With ``W_n``, ``W_nm`` the Hadamard products of the cross products of
+        all modes but n (resp. n and m), factor entries (n, r, i), (m, s, j)
+        give ``(λλᵀ∘W_nm)[r, s] * a_s^(n)[i] * a_r^(m)[j] + 0.0`` for n < m,
+        left to right (einsum's zeroed output makes a -0.0 product +0.0),
+        and ``(λλᵀ∘W_n)[r, s] * δ_ij`` for n = m (a -0.0 off the diagonal
+        where the product is negative); a factor entry (n, r, i) and a
+        weight s give ``(λ∘W_n)[r, s] * a_s^(n)[i]``, two weights the product
+        of all cross products.  Block (m, n) is the transpose of block
+        (n, m): the cross products need not be symmetric to the bit."""
         s = self.point.structure
-        dims, rank, factors = s.dims, s.rank, self.point.factors
-        rows = [slice(s.mode_offset(n), s.mode_offset(n) + rank * d) for n, d in enumerate(dims)]
-        ws = s.weight_slice
+        rank, factor_dim, ws = s.rank, s.factor_dim, s.weight_slice
         g = np.empty((s.size, s.size))
-        for n, a_n in enumerate(factors):
-            g[rows[n], rows[n]] = np.kron(self._lw_except[n], np.eye(dims[n]))
-            for k, m in enumerate(self._others[n]):
-                if m > n:
-                    block = np.einsum("rs,is,jr->risj", self._lw_pair[n, k], a_n, factors[m])
-                    g[rows[n], rows[m]] = block.reshape(rank * dims[n], rank * dims[m])
-                    g[rows[m], rows[n]] = g[rows[n], rows[m]].T
-            g[rows[n], ws] = (self._lam_w_except[n][:, None, :] * a_n).reshape(-1, rank)
-            g[ws, rows[n]] = g[rows[n], ws].T
+        # rows of rank * size entries, with both operands spread over them,
+        # take far fewer numpy inner loops than products over the size axes
+        for sl, run, dim, fac in self._groups:
+            np.multiply(self._lam_w_except[run, :, None], fac[:, None], out=g[sl, ws].reshape(-1, rank, dim, rank))
+            lw_spread = np.repeat(self._lw_except[run], dim, axis=2)
+            for k, m in enumerate(range(run.start, run.stop)):
+                rows = slice(sl.start + k * rank * dim, sl.start + (k + 1) * rank * dim)
+                np.multiply(lw_spread[k, :, None], _identity(dim, rank), out=g[rows, rows].reshape(rank, dim, -1))
+                for sl_n, run_n, dim_n, fac_n in self._groups:
+                    q = min(run_n.stop, m) - run_n.start
+                    if q <= 0:
+                        break
+                    cols = slice(sl_n.start, sl_n.start + q * rank * dim_n)
+                    lw_a = self._lw_pair[run_n.start : run_n.start + q, m - 1].transpose(2, 0, 1)[..., None] \
+                        * fac_n[:q].transpose(2, 0, 1)[:, :, None, :]
+                    band = g[rows, cols]
+                    np.multiply(lw_a.reshape(rank, 1, q, -1), np.repeat(fac[k], dim_n, axis=1)[:, None, :],
+                                out=band.reshape(rank, dim, q, -1))
+                    band += 0.0
+                    g[cols, rows] = band.T
+        g[ws, :factor_dim] = g[:factor_dim, ws].T
         g[ws, ws] = self._w_all
         return g
 

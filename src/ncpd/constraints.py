@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import CpdPoint, CpdStructure, as_real
+from .tensors import CpdPoint, CpdStructure, _identity, as_real
 
 __all__ = [
     "FeasibleSet",
@@ -154,7 +154,7 @@ class ProjJacobianElement:
         out = np.empty_like(mat)
         for sl, z, clamp, inv_norms in self._groups:
             columns, dim = clamp.shape
-            blocks = clamp[:, :, None] * np.eye(dim) - z[:, :, None] * z[:, None, :]
+            blocks = clamp[:, :, None] * _identity(dim) - z[:, :, None] * z[:, None, :]
             blocks *= inv_norms[:, :, None]
             np.matmul(blocks, mat[sl].reshape(columns, dim, -1), out=out[sl].reshape(columns, dim, -1))
         ws = self.structure.weight_slice
@@ -179,19 +179,17 @@ def proj_jacobian(fset: FeasibleSet, w) -> ProjJacobianElement:
         block = w[sl].reshape(-1, dim)  # one row per factor column
         units = np.empty_like(block)
         norms = _unit_rows(np.maximum(block, 0.0), units)
-        empty = np.flatnonzero(norms == 0.0)
-        if empty.size:
-            mode, column = divmod(int(empty[0]), s.rank)
+        if not norms.all():
+            mode, column = divmod(int(np.flatnonzero(norms == 0.0)[0]), s.rank)
             raise DegenerateBlockError(
                 f"factor block (mode {modes.start + mode}, column {column}) has no positive part"
             )
-        groups.append((sl, units, np.where(block > 0.0, 1.0, 0.0), (1.0 / norms)[:, None]))
+        groups.append((sl, units, (block > 0.0).astype(np.float64), (1.0 / norms)[:, None]))
     weights_in = w[s.weight_slice]
     inside = weights_in > 0.0
     if fset.box_bound is not None:
         inside &= weights_in < fset.box_bound
-    wd = np.where(inside, 1.0, 0.0)
-    return ProjJacobianElement(s, groups, wd)
+    return ProjJacobianElement(s, groups, inside.astype(np.float64))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from the surrogate's dense matrix by one damped linear solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,10 +230,10 @@ class JhatOperator:
         diagonal = slice(None, None, self.size + 1)
         jac = self.gram.dense()
         jac *= -self.gamma
-        jac.flat[diagonal] += 1.0
+        jac.reshape(-1)[diagonal] += 1.0
         jac = self.proj_el.apply_columns(jac)
         jac *= -1.0
-        jac.flat[diagonal] += 1.0
+        jac.reshape(-1)[diagonal] += 1.0
         return jac
 
 
@@ -284,16 +285,17 @@ def solve_direction(state: StepState) -> tuple[np.ndarray, DirectionReport]:
     with np.errstate(all="ignore"):  # a non-finite system is reported below
         jac = jhat_operator(state).matrix()
         rhs = -(state.r @ jac)
-        rhs_norm = float(np.linalg.norm(rhs))
+        rhs_norm = math.sqrt(rhs @ rhs)
         if rhs_norm == 0.0:
             return np.zeros(size), DirectionReport(0, 0.0, True, False)
         lhs = jac.T @ jac
         del jac  # hold at most two size-by-size arrays: lhs and LAPACK's copy
-        lhs.flat[:: size + 1] *= 1.0 + DAMPING * state.rnorm / float(np.linalg.norm(state.x))
+        lhs.reshape(-1)[:: size + 1] *= 1.0 + DAMPING * state.rnorm / math.sqrt(state.x @ state.x)
         try:
             d = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError:
             return np.zeros(size), DirectionReport(1, np.inf, False, True)
-        rel = float(np.linalg.norm(lhs @ d - rhs)) / rhs_norm
-    breakdown = not (np.isfinite(rel) and np.all(np.isfinite(d)))
+        res = lhs @ d - rhs
+        rel = math.sqrt(res @ res) / rhs_norm
+    breakdown = not (math.isfinite(rel) and np.isfinite(d).all())
     return d, DirectionReport(1, rel, not breakdown, breakdown)

@@ -211,16 +211,17 @@ class CpdStructure:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.size,):
             raise ValueError(f"expected flat length {self.size}, got {x.shape}")
-        return self._views(x)
-
-    def _views(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """:meth:`split` of a float64 vector of the right length, unchecked."""
         rank = self.rank
         factors = [
             x[off : off + rank * dim].reshape((dim, rank), order="F")
             for off, dim in zip(self._offsets, self.dims)
         ]
         return factors, x[self.weight_slice]
+
+    def stacked_factors(self, x: np.ndarray) -> list[np.ndarray]:
+        """Per run of :attr:`mode_groups`, the factors of the float64 vector
+        ``x`` (unchecked) copied once, to a row-major ``(k, size, R)`` array."""
+        return [x[sl].reshape(-1, self.rank, dim).transpose(0, 2, 1).copy() for sl, _, dim in self.mode_groups]
 
     def join(self, factors, weights) -> np.ndarray:
         parts = [np.asarray(a, dtype=np.float64).flatten(order="F") for a in factors]
@@ -259,6 +260,7 @@ class CpdPoint:
                 raise ValueError(
                     f"factor {n} has shape {a.shape}, expected (I_{n}, {rank})"
                 )
+        self.structure = CpdStructure(tuple(a.shape[0] for a in factors), rank)
         self._own(factors, weights)
 
     def _own(self, factors: list[np.ndarray], weights: np.ndarray) -> None:
@@ -270,10 +272,6 @@ class CpdPoint:
         self.weights = weights
 
     @cached_property
-    def structure(self) -> CpdStructure:
-        return CpdStructure(tuple(a.shape[0] for a in self.factors), self.weights.size)
-
-    @cached_property
     def flat(self) -> np.ndarray:
         out = self.structure.join(self.factors, self.weights)
         out.setflags(write=False)
@@ -282,16 +280,17 @@ class CpdPoint:
     @classmethod
     def from_flat(cls, structure: CpdStructure, x, owned: bool = False) -> "CpdPoint":
         """The point whose flat layout is ``x``.  ``flat`` is a read-only
-        copy of ``x``, the weights a view of it, and each factor block is
-        copied once, to a row-major matrix; the shapes are valid by
-        construction, so the checks of ``__init__`` are skipped.  An
-        ``owned`` ``x``, a float64 vector of the right length that the caller
-        has just made and hands over, becomes ``flat`` itself, unchecked."""
+        copy of ``x``, the weights a view of it, and the factors row-major
+        views of one copy per run of equal-size modes; the shapes are valid
+        by construction, so the checks of ``__init__`` are skipped.  An
+        ``owned`` ``x``, a float64 vector that the caller has just made and
+        hands over, becomes ``flat`` itself."""
         flat = x if owned else np.array(x, dtype=np.float64)
-        factors, weights = structure._views(flat) if owned else structure.split(flat)
+        if flat.shape != (structure.size,):
+            raise ValueError(f"expected flat length {structure.size}, got {flat.shape}")
         flat.setflags(write=False)
         point = cls.__new__(cls)
-        point._own([a.copy() for a in factors], weights)
+        point._own([a for run in structure.stacked_factors(flat) for a in run], flat[structure.weight_slice])
         point.structure = structure
         point.flat = flat
         return point
@@ -312,6 +311,14 @@ def khatri_rao(matrices) -> np.ndarray:
     out = matrices[0]
     for m in matrices[1:]:
         out = (out[:, None, :] * m[None, :, :]).reshape(-1, out.shape[1])
+    return out
+
+
+@functools.cache
+def _identity(dim: int, copies: int = 1) -> np.ndarray:
+    """``copies`` identity matrices of size ``dim`` side by side, read-only."""
+    out = np.tile(np.eye(dim), copies)
+    out.setflags(write=False)
     return out
 
 

@@ -72,11 +72,28 @@ def test_from_flat_owns_row_major_copies():
     assert np.array_equal(point.flat, point.structure.join(want_factors, want_weights))
 
 
+def test_from_flat_copies_each_run_of_modes_once():
+    # the factors of a run of equal-size modes are read-only row-major
+    # views of one copy, which the flat vector's owner cannot change
+    structure = CpdStructure((3, 3, 2, 2, 2), 2)
+    x = np.random.default_rng(4).standard_normal(structure.size)
+    point = CpdPoint.from_flat(structure, x)
+    want = oracles.split_flat(x.copy(), structure.dims, structure.rank)[0]
+    x[:] = 0.0
+    assert [a.base is point.factors[0].base for a in point.factors] == [True, True, False, False, False]
+    assert [a.base is point.factors[2].base for a in point.factors] == [False, False, True, True, True]
+    for a, w in zip(point.factors, want):
+        assert a.flags.c_contiguous and not a.flags.writeable
+        assert np.array_equal(a, w)
+
+
 def test_split_and_mode_offset_reject_bad_input():
     structure = CpdStructure((4, 3, 2), 2)
     assert [structure.mode_offset(n) for n in range(3)] == [0, 8, 14]
     with pytest.raises(ValueError, match="flat length"):
         structure.split(np.zeros(structure.size + 1))
+    with pytest.raises(ValueError, match="flat length"):
+        CpdPoint.from_flat(structure, np.zeros(structure.size + 1))
     with pytest.raises(ValueError, match="out of range"):
         structure.mode_offset(3)
     with pytest.raises(ValueError, match="out of range"):
@@ -471,6 +488,12 @@ def test_structure_takes_numpy_integers():
 def test_point_shape_validation():
     with pytest.raises(ValueError):
         CpdPoint([np.ones((2, 2)), np.ones((2, 3))], np.ones(2))
+
+
+@pytest.mark.parametrize("rows", [(0, 3), (3, 0), (2, 3, 0)])
+def test_point_rejects_a_factor_with_no_rows(rows):
+    with pytest.raises(ValueError, match="invalid mode sizes"):
+        CpdPoint([np.zeros((d, 2)) for d in rows], [1.0, 1.0])
 
 
 def test_point_arrays_are_read_only(tiny_problem):

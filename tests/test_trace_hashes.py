@@ -82,6 +82,7 @@ def test_read_baseline_keeps_groups_and_their_indented_lines(trace_hashes, tmp_p
         "large-pgd  traces=g  steps=h",
         "large-pgd  differs",
         "exact  10,10,10r5=20/20  7,5r3=20/20",
+        "exact  same",
         "memory  large-gn maxrss_growth=13.7MB  compare-gn minflt_per_solve=2140",
     ]
     path = tmp_path / "saved.txt"
@@ -91,4 +92,30 @@ def test_read_baseline_keeps_groups_and_their_indented_lines(trace_hashes, tmp_p
         "compare-gn": [saved[4]],
         "large-gn": [saved[6]],
         "large-pgd": [saved[8]],
+        "exact": [saved[10]],
     }
+
+
+def test_the_exact_line_is_the_same_or_differs(trace_hashes):
+    line = "exact  10,10,10r5=20/20  7,5r3=20/20"
+    assert trace_hashes.group_verdict([line], [line]) == "same"
+    assert trace_hashes.group_verdict([line], [line.replace("7,5r3=20", "7,5r3=19")]) == "differs"
+    assert trace_hashes.group_verdict([line], None) == "differs"
+
+
+def test_runs_group_solves_shapes_with_several_runs_of_mode_sizes(trace_hashes, monkeypatch):
+    # every instance's mode sizes form several runs, one of them two modes
+    # long; each is solved by Gauss-Newton from the study start of its seed
+    solved = []
+
+    def record(tensor, start, cfg):
+        solved.append((tensor.dims, start.structure.rank, cfg.seed, cfg.max_iters))
+        assert trace_hashes.random_feasible_point(start.structure, cfg.seed).flat.tobytes() == start.flat.tobytes()
+
+    monkeypatch.setattr(trace_hashes, "panoc_solve", record)
+    list(trace_hashes.GROUPS["runs-gn"]())
+    default = trace_hashes.SolverConfig().max_iters
+    assert solved == [(dims, 3, seed, default) for dims in [(6, 5, 4, 3), (5, 4, 3, 3, 2)] for seed in (1, 2, 3)]
+    runs = [[group[1] for group in spec.structure.mode_groups] for spec in trace_hashes.RUN_SPECS]
+    assert all(len(r) > 1 for r in runs)
+    assert any(m.stop - m.start == 2 for r in runs for m in r)
