@@ -321,6 +321,49 @@ def gramian_dense_loop(factors, weights):
     return g
 
 
+def gramian_form_loop(factors, weights, v):
+    """``v.G.v`` as the projected-gradient curvature floor takes it, one mode
+    and one entry at a time.  Per mode n, one matrix product of the rows
+    ``[A_n^T; V_n^T]`` with their transpose gives ``C_n = A_n^T A_n``,
+    ``D_n = A_n^T V_n`` and ``E_n = V_n^T V_n``; mode 0's rows carry the
+    weights, as ``Λ A_0^T`` and ``Λ V_0^T + diag(v_w) A_0^T``.  Per entry
+    (r, s), ``W_n∘E_n`` and ``W_nm∘D_n^T∘D_m`` (m != n) are multiplied left
+    to right, with ``W_n`` (``W_nm``) the product of the ``C`` of the modes
+    other than n (n and m) in increasing mode order.  The form is numpy's
+    sum of the first terms as an (N, R, R) array plus that of the second
+    as an (N, N - 1, R, R) array, both in C order."""
+    dims = tuple(a.shape[0] for a in factors)
+    rank = len(weights)
+    n = len(factors)
+    vf, vw = mode_views(np.asarray(v, dtype=np.float64), dims, rank)
+    c, d, e = [], [], []
+    for m in range(n):
+        a, b = np.asarray(factors[m]).T, vf[m].T
+        if m == 0:
+            a, b = a * weights[:, None], b * weights[:, None] + vw[:, None] * a
+        rows = np.ascontiguousarray(np.vstack((a, b)))
+        cross = rows @ rows.T
+        c.append(cross[:rank, :rank])
+        d.append(cross[:rank, rank:])
+        e.append(cross[rank:, rank:])
+    own = np.empty((n, rank, rank))
+    pairs = np.empty((n, n - 1, rank, rank))
+    for i in range(n):
+        others = [m for m in range(n) if m != i]
+        for r, s in itertools.product(range(rank), repeat=2):
+            w = 1.0
+            for m in others:
+                w = w * c[m][r, s]
+            own[i, r, s] = w * e[i][r, s]
+            for k, j in enumerate(others):
+                h = 1.0
+                for m in others:
+                    if m != j:
+                        h = h * c[m][r, s]
+                pairs[i, k, r, s] = h * d[i][s, r] * d[j][r, s]
+    return float(own.sum() + pairs.sum())
+
+
 def jhat_matrix_loop(blocks, dims, rank, gram, gamma):
     """``I - P (I - gamma G)`` from the dense Gramian ``gram`` and the
     projection Jacobian ``blocks`` of :func:`proj_jacobian_blocks`: ``-gamma

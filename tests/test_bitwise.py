@@ -6,7 +6,9 @@ iteration counts and convergence slopes), so the fast paths of
 ``JhatOperator.apply``/``apply_transpose`` must reproduce the per-block
 loops exactly, signed zeros included, as must the dense system the
 direction solve assembles (``GramianOperator.dense``,
-``JhatOperator.matrix``) and the direction it solves for; the evaluation core
+``JhatOperator.matrix``) and the direction it solves for, the curvature
+floor of a projected-gradient step (``cauchy_scale`` without an operator)
+and a step state's fields; the evaluation core
 (``objective_value``, ``gradient`` and the pair
 ``value_and_residual``/``gradient_from_residual``) must reproduce a
 reference evaluation at every number of modes: a plain loop over the
@@ -27,7 +29,8 @@ from hypothesis import strategies as st
 
 import ncpd.tensors as tensors
 import oracles
-from ncpd.calculus import EvalCounters, GramianOperator, gradient, gradient_from_residual
+import ncpd.calculus as calculus
+from ncpd.calculus import EvalCounters, GramianOperator, cauchy_scale, gradient, gradient_from_residual
 from ncpd.constraints import DegenerateBlockError, FeasibleSet, proj_jacobian, project
 from helpers import make_state
 from ncpd.forward_backward import DAMPING, CpdProblem, JhatOperator, fb_step, solve_direction
@@ -249,6 +252,75 @@ def test_direction_matches_reference_solve_bitwise():
     assert report.converged and report.iterations == 1
     assert_bitwise(d, want_d)
     assert_bitwise(np.float64(report.rel_residual), np.float64(want_rel))
+
+
+# --- the curvature floor of a projected-gradient step --------------------------
+
+
+def assert_curvature_floor_matches_form_loop(point, g):
+    """``cauchy_scale`` without an operator, and the form behind it, against
+    the entry-by-entry reference; a zero ``g`` is refused."""
+    gg = g @ g
+    if gg == 0.0:
+        with pytest.raises(ValueError, match="zero direction"):
+            cauchy_scale(point, g)
+        return
+    form = oracles.gramian_form_loop(point.factors, point.weights, g)
+    assert_bitwise(np.float64(calculus._gramian_form(point, g)), np.float64(form))
+    want = gg / form if form > 0.0 else math.inf
+    assert_bitwise(np.float64(cauchy_scale(point, g)), np.float64(want))
+
+
+@given(cases())
+@settings(max_examples=300, deadline=None)
+def test_curvature_floor_matches_form_loop_bitwise(case):
+    _, _, _, point, v, _ = case
+    assert_curvature_floor_matches_form_loop(point, v)
+
+
+@pytest.mark.parametrize("dims,rank", [((10, 10, 10), 5), ((30, 30, 30, 30), 8), ((25, 40, 12, 40), 9)])
+def test_curvature_floor_matches_form_loop_bitwise_at_solver_sizes(dims, rank):
+    # the floor of a projected-gradient step: a projected point and a
+    # gradient-sized direction
+    structure = CpdStructure(dims, rank)
+    rng = np.random.default_rng(sum(dims) + rank)
+    point = project(FeasibleSet(structure), rng.uniform(-0.1, 1.0, structure.size))
+    assert_curvature_floor_matches_form_loop(point, rng.standard_normal(structure.size))
+
+
+def assert_step_state_matches_plain_expressions(state):
+    """The state's fields against the expressions that define them, in the
+    order they are written: w = x - γ g, z = P(w), r = x - z, ‖r‖ and the
+    envelope f - g·r + ‖r‖²/(2γ)."""
+    s = state.point.structure
+    x, g, gamma = state.x, state.grad, state.gamma
+    w = x - gamma * g
+    z, _ = oracles.project_loop(w, s.dims, s.rank, state.problem.fset.box_bound)
+    r = x - z
+    rsq = r @ r
+    assert_bitwise(state.w, w)
+    assert_bitwise(state.z.flat, z)
+    assert_bitwise(state.r, r)
+    assert_bitwise(np.float64(state.rnorm), np.sqrt(rsq))
+    assert_bitwise(np.float64(state.fbe), np.float64(state.fx) - g @ r + rsq / (2.0 * gamma))
+
+
+@given(cases(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_step_state_matches_plain_expressions_bitwise(case, seed):
+    structure, box, _, point, _, gamma = case
+    rng = np.random.default_rng(seed)
+    tensor = DenseTensor(structure.dims, rng.standard_normal(math.prod(structure.dims)))
+    state = fb_step(CpdProblem(tensor, FeasibleSet(structure, box)), point, gamma)
+    assert_step_state_matches_plain_expressions(state)
+    assert_step_state_matches_plain_expressions(state.with_gamma(0.5 * gamma))
+
+
+@pytest.mark.parametrize("dims,rank", [((10, 10, 10), 5), ((30, 30, 30, 30), 8), ((25, 40, 12, 40), 9)])
+def test_step_state_matches_plain_expressions_bitwise_at_solver_sizes(dims, rank):
+    _, state, _ = make_state(sum(dims), dims=dims, rank=rank)
+    assert_step_state_matches_plain_expressions(state)
+    assert_step_state_matches_plain_expressions(state.with_gamma(3.0 * state.gamma))
 
 
 # --- the evaluation core -----------------------------------------------------
