@@ -44,7 +44,9 @@ Groups:
 * ``runs-gn``: Gauss-Newton solves to their stop of inexact instances
   whose mode sizes form several runs, (6,5,4,3) and (5,4,3,3,2) rank 3
   with 2 zeros and 2 negative entries per factor, seeds 1-3 each, from the
-  study start point of their seed.
+  study start point of their seed;
+* ``runs-pgd``: projected-gradient solves of the same instances from the
+  same start points, 500 iterations each.
 
 After the groups, one ``exact`` line gives, per shape of the exact-fit
 instances ((10,10,10) rank 5 with the study's 10 zeros per factor; (7,5),
@@ -152,12 +154,19 @@ def large(solve, max_iters):
     return group
 
 
-def runs():
-    """Gauss-Newton solves of the ``RUN_SPECS`` instances, seeds 1-3 each."""
-    for spec in RUN_SPECS:
-        for seed in range(1, 4):
-            tensor = gen_inexact_instance(replace(spec, seed=seed))
-            yield panoc_solve(tensor, random_feasible_point(spec.structure, seed), SolverConfig(seed=seed))
+def runs(gauss_newton: bool):
+    """Gauss-Newton solves to their stop, or projected-gradient solves of
+    500 iterations, of the ``RUN_SPECS`` instances, seeds 1-3 each."""
+    def group():
+        for spec in RUN_SPECS:
+            for seed in range(1, 4):
+                tensor = gen_inexact_instance(replace(spec, seed=seed))
+                start = random_feasible_point(spec.structure, seed)
+                if gauss_newton:
+                    yield panoc_solve(tensor, start, SolverConfig(seed=seed))
+                else:
+                    yield pgd_solve(tensor, start, SolverConfig(seed=seed, max_iters=500))
+    return group
 
 
 GROUPS = {
@@ -166,7 +175,8 @@ GROUPS = {
     "compare-pgd": compare(pgd_solve),
     "large-gn": large(panoc_solve, 3),
     "large-pgd": large(pgd_solve, 100),
-    "runs-gn": runs,
+    "runs-gn": runs(gauss_newton=True),
+    "runs-pgd": runs(gauss_newton=False),
 }
 
 

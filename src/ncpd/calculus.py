@@ -283,15 +283,37 @@ def cauchy_scale(point: CpdPoint, g: np.ndarray, op: GramianOperator | None = No
 
     ``g.G.g`` comes from one apply of ``op`` when one is given, and
     otherwise from R-by-R products alone, without building an operator.
-    Raises on a zero direction; a flat direction comes out ``inf`` and is
-    left to the caller to ignore.
+    Raises on a zero direction or one of another length than the point's;
+    a flat direction comes out ``inf`` and is left to the caller to ignore.
     """
     g = np.asarray(g, dtype=np.float64)
+    if g.shape != (point.structure.size,):
+        raise ValueError(f"expected flat length {point.structure.size}, got {g.shape}")
     gg = float(g @ g)
     if gg == 0.0:
         raise ValueError("cannot take a curvature scale along the zero direction")
     curvature = _gramian_form(point, g) if op is None else float(g @ op.apply(g))
     return gg / curvature if curvature > 0.0 else math.inf
+
+
+@functools.cache
+def _form_index(n_modes: int, rank: int) -> np.ndarray:
+    """Indices of the factors of the N^2 terms of :func:`_gramian_form`
+    into its flat stacked ``(N, 2R, 2R)`` cross products, whose first R
+    rows hold ``[C_m | D_m]`` and other rows and columns ``E_m``: an ``(N,
+    N^2, R, R)`` array with factor f of entry (r, s) of term t at ``[f, t,
+    r, s]``, first ``W_n∘E_n`` per n, then ``W_nm∘D_n^T∘D_m`` per n and m
+    != n, each with its factors in the order of their products.  Read-only."""
+    w, (r, s) = 2 * rank, np.ogrid[:rank, :rank]
+    c, d, e = r * w + s, r * w + rank + s, (rank + r) * w + rank + s  # entries (r, s) of C_0, D_0, E_0
+    modes = range(n_modes)
+    start = [m * w * w for m in modes]  # of mode m's cross products
+    own = [[c + start[m] for m in modes if m != n] + [e + start[n]] for n in modes]
+    pairs = [[c + start[j] for j in modes if j not in (n, m)] + [d.T + start[n], d + start[m]]
+             for n in modes for m in modes if m != n]
+    index = np.array(own + pairs).transpose(1, 0, 2, 3).copy()
+    index.setflags(write=False)
+    return index
 
 
 def _gramian_form(point: CpdPoint, v: np.ndarray) -> float:
@@ -305,21 +327,25 @@ def _gramian_form(point: CpdPoint, v: np.ndarray) -> float:
     and ``E_n = V_n^T V_n`` (one stacked product of ``[A_n | V_n]`` per run
     of equal-size modes) and ``W_n``, ``W_nm`` the Hadamard products of the
     ``C`` of all modes but n (resp. n and m), the form is the sum of the
-    entries of ``sum_n W_n∘E_n + sum_{n != m} W_nm∘D_n^T∘D_m``.
+    entries of ``sum_n W_n∘E_n + sum_{n != m} W_nm∘D_n^T∘D_m``: one gather
+    takes the factors of every term, multiplied left to right, and numpy
+    sums the first N terms and the rest.
     """
     s = point.structure
-    rank = s.rank
+    n_modes, rank = s.num_modes, s.rank
     x, lam = point.flat, point.weights
-    cross = np.empty((s.num_modes, 2 * rank, 2 * rank))
+    cross = np.empty((n_modes, 2 * rank, 2 * rank))
     for sl, modes, dim in s.mode_groups:
         # per mode of the run, the columns of A_n and then those of V_n, as rows
         a = x[sl].reshape(-1, rank, dim)
         rows = np.concatenate((a, v[sl].reshape(-1, rank, dim)), axis=1)
         if modes.start == 0:
-            rows[0] *= np.concatenate((lam, lam))[:, None]
-            rows[0, rank:] += v[s.weight_slice, None] * a[0]
+            mode0 = rows[0].reshape(2, rank, dim)
+            mode0 *= lam[:, None]
+            mode0[1] += v[s.weight_slice, None] * a[0]
         np.matmul(rows, rows.transpose(0, 2, 1), out=cross[modes])
-    c, d, e = cross[:, :rank, :rank], cross[:, :rank, rank:], cross[:, rank:, rank:]
-    others, rest = _mode_indices(s.num_modes)
-    pairs = _hadamard(c, rest) * d.transpose(0, 2, 1)[:, None] * d[others]
-    return float((_hadamard(c, others) * e).sum() + pairs.sum())
+    factors = cross.reshape(-1)[_form_index(n_modes, rank)]
+    terms = factors[0]
+    for factor in factors[1:]:
+        terms *= factor
+    return float(np.add.reduce(terms[:n_modes], axis=None) + np.add.reduce(terms[n_modes:], axis=None))

@@ -61,21 +61,21 @@ def project(fset: FeasibleSet, w) -> CpdPoint:
     A column whose squares overflow or underflow is normalized all the same
     (:func:`_unit_rows`).
 
-    ``w`` is a flat vector or a point.  The projection is computed per run
-    of equal-size modes (:attr:`CpdStructure.mode_groups`) straight into
-    one flat vector, which :meth:`CpdPoint.from_flat` takes over without a
-    copy; its factors are the row-major copies on which the solver
-    evaluates.
+    ``w`` is a flat vector or a point of the set's structure.  The
+    projection is computed per run of equal-size modes
+    (:attr:`CpdStructure.mode_groups`) straight into one flat vector, which
+    :meth:`CpdPoint.from_flat` takes over without a copy; its factors are
+    the row-major copies on which the solver evaluates.
     """
     s = fset.structure
-    w = np.asarray(w.flat if isinstance(w, CpdPoint) else w, dtype=np.float64)
+    if isinstance(w, CpdPoint) and w.structure != s:
+        raise ValueError(f"point structure {w.structure} does not match set {s}")
+    w = w.flat if isinstance(w, CpdPoint) else np.asarray(w, dtype=np.float64)
     if w.shape != (s.size,):
         raise ValueError(f"expected flat length {s.size}, got {w.shape}")
     out = np.empty(s.size)
-    for sl, _, dim in s.mode_groups:
-        block = out[sl].reshape(-1, dim)  # one row per factor column
-        empty = _unit_rows(np.maximum(w[sl].reshape(-1, dim), 0.0), block) == 0.0
-        block[empty] = 1.0 / np.sqrt(dim)
+    for sl, _, dim in s.mode_groups:  # one row per factor column
+        _unit_rows(np.maximum(w[sl].reshape(-1, dim), 0.0), out[sl].reshape(-1, dim))
     ws = s.weight_slice
     np.maximum(w[ws], 0.0, out=out[ws])
     if fset.box_bound is not None:
@@ -83,26 +83,29 @@ def project(fset: FeasibleSet, w) -> CpdPoint:
     return CpdPoint.from_flat(s, out, owned=True)
 
 
+@np.errstate(all="ignore")
 def _unit_rows(pos: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write each row of the nonnegative matrix ``pos`` divided by its
-    Euclidean norm into ``out``, and return the norms; rows of norm 0 come
-    out NaN.  A norm is summed as ``np.linalg.norm`` sums a contiguous
-    column.  A row whose sum of squares overflows to ``inf``, or underflows
-    to 0 while an entry is positive, is divided by its largest entry first,
-    without a numpy warning, so that its direction and norm come out right;
-    every other row keeps those exact bits."""
-    with np.errstate(all="ignore"):
-        norms = np.sqrt(np.add.reduce(pos * pos, axis=1))
-        np.divide(pos, norms[:, None], out=out)
-        if np.minimum.reduce(norms) == 0.0 or np.maximum.reduce(norms) == np.inf:
-            lost = np.flatnonzero((norms == 0.0) | (norms == np.inf))
-            peak = pos[lost].max(axis=1)
-            finite = (peak > 0.0) & (peak < np.inf)
-            lost, peak = lost[finite], peak[finite, None]
-            scaled = pos[lost] / peak
-            scaled_norms = np.linalg.norm(scaled, axis=1)
-            out[lost] = scaled / scaled_norms[:, None]
-            norms[lost] = peak[:, 0] * scaled_norms
+    Euclidean norm into ``out``, and return the norms; a row of zeros, of
+    norm 0, comes out as the uniform unit vector.  A norm is summed as
+    ``np.linalg.norm`` sums a contiguous column.  A row whose sum of
+    squares overflows to ``inf``, or underflows to 0 while an entry is
+    positive, is divided by its largest entry first, without a numpy
+    warning, so that its direction and norm come out right; every other
+    row keeps those exact bits."""
+    norms = np.sqrt(np.add.reduce(pos * pos, axis=1))
+    np.divide(pos, norms[:, None], out=out)
+    # a norm of 0 or inf makes the product 0, inf or NaN; one that under- or overflows alone repairs no row
+    if not 0.0 < np.multiply.reduce(norms) < np.inf:
+        lost = np.flatnonzero((norms == 0.0) | (norms == np.inf))
+        peak = pos[lost].max(axis=1)
+        out[lost[peak == 0.0]] = 1.0 / np.sqrt(pos.shape[1])
+        finite = (peak > 0.0) & (peak < np.inf)
+        lost, peak = lost[finite], peak[finite, None]
+        scaled = pos[lost] / peak
+        scaled_norms = np.linalg.norm(scaled, axis=1)
+        out[lost] = scaled / scaled_norms[:, None]
+        norms[lost] = peak[:, 0] * scaled_norms
     return norms
 
 

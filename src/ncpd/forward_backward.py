@@ -112,13 +112,13 @@ class CpdProblem:
 
 
 def _finite_value(value: float) -> float:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise FloatingPointError("objective evaluated to a non-finite value")
     return value
 
 
 def _finite_gradient(g: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise FloatingPointError("gradient evaluated to a non-finite value")
     return g
 
@@ -142,18 +142,14 @@ class StepState:
     def __init__(self, problem: CpdProblem, point: CpdPoint, gamma: float, fx: float, grad: np.ndarray):
         if not gamma > 0:
             raise ValueError(f"stepsize must be positive, got {gamma}")
-        self.problem = problem
-        self.point = point
-        self.x = x = point.flat
-        self.gamma = gamma
-        self.fx = fx
-        self.grad = grad
-        self.w = x - gamma * grad
-        self.z = project(problem.fset, self.w)
-        self.r = x - self.z.flat
-        rsq = float(self.r @ self.r)
-        self.rnorm = np.sqrt(rsq)
-        self.fbe = fx - float(grad @ self.r) + rsq / (2.0 * gamma)
+        x = point.flat
+        self.w = w = x - gamma * grad
+        self.z = z = project(problem.fset, w)
+        self.r = r = x - z.flat
+        rsq = float(r @ r)
+        self.rnorm = math.sqrt(rsq)
+        self.fbe = fx - float(grad @ r) + rsq / (2.0 * gamma)
+        self.problem, self.point, self.x, self.gamma, self.fx, self.grad = problem, point, x, gamma, fx, grad
         self._z_evaluation = None
 
     @property

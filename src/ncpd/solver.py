@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -352,22 +353,17 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, ga
     gh_total = 0
 
     def snapshot(st):
-        return {
-            "k": k,
-            "fx": st.fx,
-            "fz": st.fz,
-            "fbe": st.fbe,
-            "rnorm": st.rnorm,
-            "gamma": st.gamma,
-            "gamma_halvings": gh_pending,
-            "fevals": counters.fevals,
-            "gevals": counters.gevals,
-            "gramian_applies": counters.gramian_applies,
-            "err": error_at(st.point),
-        }
+        """A trace row's fields fixed once ``st`` is validated: those
+        before ``tau``, the γ halvings, and those after ``kind``."""
+        return ((k, st.fx, st.fz, st.fbe, st.rnorm, st.gamma), gh_pending,
+                (counters.fevals, counters.gevals, counters.gramian_applies, error_at(st.point)))
+
+    def record(base, tau, th, kind):
+        head, gh, tail = base
+        trace.append(IterationRecord(*head, tau, gh, th, kind, *tail))
 
     def finish(st, base, reason):
-        trace.append(IterationRecord(**base, tau=0.0, tau_halvings=0, kind="term"))
+        record(base, 0.0, 0, "term")
         return SolverResult(st.z, st.fz, reason, k, trace)
 
     def halve_gamma():
@@ -432,7 +428,7 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, ga
         if restart:
             continue  # same iterate, revalidated stepsize, fresh direction
 
-        trace.append(IterationRecord(**base, tau=tau, tau_halvings=th, kind=kind))
+        record(base, tau, th, kind)
         gh_pending = 0
         k += 1
 
@@ -447,6 +443,6 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, ga
                 counters.gramian_applies += 1
                 op = GramianOperator(cand.point) if gauss_newton else None
                 eta = cauchy_scale(cand.point, g, op=op)
-                if np.isfinite(eta) and eta > cand.gamma:
+                if math.isfinite(eta) and eta > cand.gamma:
                     cand = cand.with_gamma(eta)
         state = cand

@@ -261,10 +261,6 @@ class CpdPoint:
                     f"factor {n} has shape {a.shape}, expected (I_{n}, {rank})"
                 )
         self.structure = CpdStructure(tuple(a.shape[0] for a in factors), rank)
-        self._own(factors, weights)
-
-    def _own(self, factors: list[np.ndarray], weights: np.ndarray) -> None:
-        """Store arrays this point alone holds, marked read-only."""
         for a in factors:
             a.setflags(write=False)
         weights.setflags(write=False)
@@ -281,18 +277,20 @@ class CpdPoint:
     def from_flat(cls, structure: CpdStructure, x, owned: bool = False) -> "CpdPoint":
         """The point whose flat layout is ``x``.  ``flat`` is a read-only
         copy of ``x``, the weights a view of it, and the factors row-major
-        views of one copy per run of equal-size modes; the shapes are valid
-        by construction, so the checks of ``__init__`` are skipped.  An
-        ``owned`` ``x``, a float64 vector that the caller has just made and
-        hands over, becomes ``flat`` itself."""
+        views of one read-only copy per run of equal-size modes; the shapes
+        are valid by construction, so the checks of ``__init__`` are
+        skipped.  An ``owned`` ``x``, a float64 vector that the caller has
+        just made and hands over, becomes ``flat`` itself."""
         flat = x if owned else np.array(x, dtype=np.float64)
         if flat.shape != (structure.size,):
             raise ValueError(f"expected flat length {structure.size}, got {flat.shape}")
-        flat.setflags(write=False)
+        flat.setflags(write=False)  # views taken from here on are read-only too
         point = cls.__new__(cls)
-        point._own([a for run in structure.stacked_factors(flat) for a in run], flat[structure.weight_slice])
-        point.structure = structure
-        point.flat = flat
+        point.structure, point.flat, point.weights = structure, flat, flat[structure.weight_slice]
+        point.factors = factors = []
+        for run in structure.stacked_factors(flat):
+            run.setflags(write=False)
+            factors.extend(run)
         return point
 
     def norm(self) -> float:
@@ -372,6 +370,7 @@ def tensor_from_cpd(point: CpdPoint, dims=None) -> DenseTensor:
     return DenseTensor(structure.dims, model.reshape(-1))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def value_and_residual(point: CpdPoint, tensor: DenseTensor) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Half squared residual norm, and the two arrays that :func:`mttkrps`
     needs besides the point: the partial contractions of the residual with
@@ -391,26 +390,24 @@ def value_and_residual(point: CpdPoint, tensor: DenseTensor) -> tuple[float, tup
     """
     if point.structure.dims != tensor.dims:
         raise ValueError(f"point dims {point.structure.dims} do not match tensor {tensor.dims}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        left, right, scaled, step = _tree(point)
-        data = tensor.values.reshape(right.shape[0], left.shape[0])
-        buf = np.empty((min(step, data.shape[0]), data.shape[1]))
-        left_partial, right_partial = np.empty(left.shape), np.empty(right.shape)
-        total = 0.0
-        for start in range(0, data.shape[0], step):
-            rows = slice(start, start + step)
-            right_rows = right[rows]
-            block = buf[: right_rows.shape[0]]
-            np.matmul(right_rows, scaled, out=block)
-            np.subtract(block, data[rows], out=block)
-            flat = block.reshape(-1)
-            total += float(flat @ flat)
-            if start:
-                left_partial += block.T @ right_rows
-            else:  # a matrix product sums from +0.0, so adding it to zeros would change no bit
-                np.matmul(block.T, right_rows, out=left_partial)
-            np.matmul(block, left, out=right_partial[rows])
-        return 0.5 * total, (left_partial, right_partial)
+    left, right, scaled, step = _tree(point)
+    data = tensor.values.reshape(right.shape[0], left.shape[0])
+    right_partial = np.empty(right.shape)
+    total = 0.0
+    for start in range(0, data.shape[0], step):
+        rows = slice(start, start + step)
+        right_rows = right[rows]
+        block = np.matmul(right_rows, scaled, out=buf[: right_rows.shape[0]] if start else None)
+        np.subtract(block, data[rows], out=block)
+        flat = block.reshape(-1)
+        total += float(flat @ flat)
+        np.matmul(block, left, out=right_partial[rows])
+        if start:
+            left_partial += block.T @ right_rows
+        else:  # later blocks, no larger, reuse the first one's buffer; a
+            # matrix product sums from +0.0, so adding it to zeros would change no bit
+            buf, left_partial = block, block.T @ right_rows
+    return 0.5 * total, (left_partial, right_partial)
 
 
 def residual_values(point: CpdPoint, tensor: DenseTensor) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -337,3 +338,14 @@ def test_cauchy_scale_zero_gradient(rng):
     point = random_feasible(structure, rng)
     with pytest.raises(ValueError):
         cauchy_scale(point, np.zeros(structure.size))
+
+
+@pytest.mark.parametrize("shape", [(5,), (21,), (20, 1), ()])
+def test_cauchy_scale_rejects_a_direction_of_another_length(rng, shape):
+    # with or without an operator, as the operators' applies do
+    structure = tiny_structure()  # flat length 20
+    point = random_feasible(structure, rng)
+    g = rng.standard_normal(shape)
+    for op in (None, GramianOperator(point)):
+        with pytest.raises(ValueError, match=rf"^expected flat length 20, got {re.escape(str(shape))}$"):
+            cauchy_scale(point, g, op=op)

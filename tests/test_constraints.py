@@ -93,6 +93,17 @@ def test_project_accepts_point(rng):
     assert np.allclose(project(s, point).flat, point.flat, atol=1e-15)
 
 
+def test_project_rejects_point_of_another_structure(rng):
+    # a (4, 3) rank-2 point has the flat size of the (3, 4) set, but its
+    # factor columns lie elsewhere in the flat layout
+    s = fset(dims=(3, 4))
+    other = CpdStructure((4, 3), 2)
+    point = project(FeasibleSet(other), rng.uniform(size=other.size))
+    with pytest.raises(ValueError, match=r"point structure .*\(4, 3\).* does not match set .*\(3, 4\)"):
+        project(s, point)
+    project(s, point.flat)  # a flat vector of the right length is taken as it is
+
+
 # factor column (mode 0, column 1) of a (4, 3, 2) rank-2 point
 EXTREME_COLUMN = slice(4, 8)
 

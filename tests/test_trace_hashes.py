@@ -103,19 +103,28 @@ def test_the_exact_line_is_the_same_or_differs(trace_hashes):
     assert trace_hashes.group_verdict([line], None) == "differs"
 
 
-def test_runs_group_solves_shapes_with_several_runs_of_mode_sizes(trace_hashes, monkeypatch):
-    # every instance's mode sizes form several runs, one of them two modes
-    # long; each is solved by Gauss-Newton from the study start of its seed
+def assert_runs_group(trace_hashes, monkeypatch, group, solver, max_iters):
+    """The group solves, with ``solver`` and ``max_iters``, instances whose
+    mode sizes form several runs, one of them two modes long, each from
+    the study start of its seed."""
     solved = []
 
     def record(tensor, start, cfg):
         solved.append((tensor.dims, start.structure.rank, cfg.seed, cfg.max_iters))
         assert trace_hashes.random_feasible_point(start.structure, cfg.seed).flat.tobytes() == start.flat.tobytes()
 
-    monkeypatch.setattr(trace_hashes, "panoc_solve", record)
-    list(trace_hashes.GROUPS["runs-gn"]())
-    default = trace_hashes.SolverConfig().max_iters
-    assert solved == [(dims, 3, seed, default) for dims in [(6, 5, 4, 3), (5, 4, 3, 3, 2)] for seed in (1, 2, 3)]
-    runs = [[group[1] for group in spec.structure.mode_groups] for spec in trace_hashes.RUN_SPECS]
+    monkeypatch.setattr(trace_hashes, solver, record)
+    list(trace_hashes.GROUPS[group]())
+    assert solved == [(dims, 3, seed, max_iters) for dims in [(6, 5, 4, 3), (5, 4, 3, 3, 2)] for seed in (1, 2, 3)]
+    runs = [[mode_group[1] for mode_group in spec.structure.mode_groups] for spec in trace_hashes.RUN_SPECS]
     assert all(len(r) > 1 for r in runs)
     assert any(m.stop - m.start == 2 for r in runs for m in r)
+
+
+def test_runs_group_solves_shapes_with_several_runs_of_mode_sizes(trace_hashes, monkeypatch):
+    # Gauss-Newton, to its stop
+    assert_runs_group(trace_hashes, monkeypatch, "runs-gn", "panoc_solve", trace_hashes.SolverConfig().max_iters)
+
+
+def test_runs_pgd_group_solves_the_same_shapes_for_500_iterations(trace_hashes, monkeypatch):
+    assert_runs_group(trace_hashes, monkeypatch, "runs-pgd", "pgd_solve", 500)
