@@ -66,11 +66,7 @@ class CpdProblem:
     partial contractions (see :func:`~ncpd.tensors.value_and_residual`),
     from which :meth:`value_and_gradient` finishes the gradient by the
     MTTKRPs alone, reading no array of the tensor's size.  The problem
-    keeps no evaluation: the caller holds it and hands it back.  Points are
-    evaluated as given: the solver's all come from
-    :meth:`CpdPoint.from_flat` (:meth:`point`, or
-    :func:`~ncpd.constraints.project`), whose row-major factors fix the
-    rounding.
+    keeps no evaluation: the caller holds it and hands it back.
     """
 
     def __init__(self, tensor: DenseTensor, fset: FeasibleSet, counters: EvalCounters | None = None):

@@ -243,13 +243,15 @@ class CpdPoint:
         Length-R weight vector.
 
     Instances are value objects: the stored arrays are copies and marked
-    read-only.  No feasibility is implied; mid-iteration points are generally
-    infeasible.
+    read-only.  Every point has the layout of :meth:`from_flat`, whatever
+    the layout of the arrays it was built from, so its evaluation rounds
+    the same way.  No feasibility is implied; mid-iteration points are
+    generally infeasible.
     """
 
     def __init__(self, factors, weights):
-        factors = [np.array(a, dtype=np.float64) for a in factors]
-        weights = np.array(weights, dtype=np.float64)
+        factors = [np.asarray(a, dtype=np.float64) for a in factors]
+        weights = np.asarray(weights, dtype=np.float64)
         if len(factors) < 2:
             raise ValueError(f"need at least 2 factor matrices, got {len(factors)}")
         if weights.ndim != 1 or weights.size < 1:
@@ -260,18 +262,9 @@ class CpdPoint:
                 raise ValueError(
                     f"factor {n} has shape {a.shape}, expected (I_{n}, {rank})"
                 )
-        self.structure = CpdStructure(tuple(a.shape[0] for a in factors), rank)
-        for a in factors:
-            a.setflags(write=False)
-        weights.setflags(write=False)
-        self.factors = factors
-        self.weights = weights
-
-    @cached_property
-    def flat(self) -> np.ndarray:
-        out = self.structure.join(self.factors, self.weights)
-        out.setflags(write=False)
-        return out
+        structure = CpdStructure(tuple(a.shape[0] for a in factors), rank)
+        point = CpdPoint.from_flat(structure, structure.join(factors, weights), owned=True)
+        self.structure, self.flat, self.weights, self.factors = structure, point.flat, point.weights, point.factors
 
     @classmethod
     def from_flat(cls, structure: CpdStructure, x, owned: bool = False) -> "CpdPoint":

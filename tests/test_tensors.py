@@ -1,3 +1,4 @@
+import math
 import os
 import threading
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ncpd import tensors
+from ncpd.calculus import gradient
 from ncpd.tensors import (
     CpdPoint,
     CpdStructure,
@@ -20,6 +22,7 @@ from ncpd.tensors import (
     ten_read,
     ten_write,
     tensor_from_cpd,
+    value_and_residual,
 )
 
 dims_strategy = st.lists(st.integers(2, 5), min_size=2, max_size=4).map(tuple)
@@ -85,6 +88,27 @@ def test_from_flat_copies_each_run_of_modes_once():
     for a, w in zip(point.factors, want):
         assert a.flags.c_contiguous and not a.flags.writeable
         assert np.array_equal(a, w)
+
+
+def test_point_from_fortran_ordered_factors_is_laid_out_and_evaluates_as_from_c_ordered():
+    # a point built from arrays has the layout of from_flat, whatever the
+    # order of those arrays, so its evaluation rounds the same way
+    structure = CpdStructure((6, 5, 5, 4), 3)
+    rng = np.random.default_rng(11)
+    factors = [rng.standard_normal((d, structure.rank)) for d in structure.dims]
+    weights = rng.uniform(0.5, 2.0, structure.rank)
+    tensor = DenseTensor(structure.dims, rng.standard_normal(math.prod(structure.dims)))
+    c_point = CpdPoint([np.ascontiguousarray(a) for a in factors], weights)
+    f_point = CpdPoint([np.asfortranarray(a) for a in factors], weights)
+    for a, b in zip(f_point.factors, c_point.factors):
+        assert a.flags.c_contiguous and not a.flags.writeable
+        assert np.array_equal(a, b)
+    assert f_point.flat.tobytes() == c_point.flat.tobytes()
+    f_value, f_parts = value_and_residual(f_point, tensor)
+    c_value, c_parts = value_and_residual(c_point, tensor)
+    assert np.float64(f_value).tobytes() == np.float64(c_value).tobytes()
+    assert gradient(f_point, tensor).tobytes() == gradient(c_point, tensor).tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(f_parts, c_parts))
 
 
 def test_split_and_mode_offset_reject_bad_input():
