@@ -13,8 +13,11 @@ The Gramian (Jacobian-transpose times Jacobian) never needs the Jacobian:
 thanks to the Kronecker structure of the Jacobian, its action on a vector,
 its quadratic form and its dense matrix are all built from the R-by-R
 cross products of the factor matrices, at a cost independent of the tensor
-size.  The dense Jacobian itself is provided separately for diagnostics on
-small problems.
+size.  A solve builds a Gramian only for its direction solve
+(:meth:`GramianOperator.dense`); the curvature floor of both solvers
+(:func:`cauchy_scale`) takes the quadratic form from the cross products
+alone.  The dense Jacobian itself is provided separately for diagnostics
+on small problems.
 """
 
 from __future__ import annotations
@@ -277,14 +280,15 @@ def kernel_basis(point: CpdPoint) -> KernelBasis:
     return KernelBasis(basis, degenerate)
 
 
-def cauchy_scale(point: CpdPoint, g: np.ndarray, op: GramianOperator | None = None) -> float:
+def cauchy_scale(point: CpdPoint, g: np.ndarray) -> float:
     """Stepsize scale of the Gramian along ``g``: ``g.g / g.G.g``, the
     inverse of its Rayleigh quotient.
 
-    ``g.G.g`` comes from one apply of ``op`` when one is given, and
-    otherwise from R-by-R products alone, without building an operator.
-    Raises on a zero direction or one of another length than the point's;
-    a flat direction comes out ``inf`` and is left to the caller to ignore.
+    ``g.G.g`` comes from R-by-R products alone (:func:`_gramian_form`),
+    without building an operator; both solvers take their curvature floor
+    from here.  Raises on a zero direction or one of another length than
+    the point's; a flat direction comes out ``inf`` and is left to the
+    caller to ignore.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (point.structure.size,):
@@ -292,7 +296,7 @@ def cauchy_scale(point: CpdPoint, g: np.ndarray, op: GramianOperator | None = No
     gg = float(g @ g)
     if gg == 0.0:
         raise ValueError("cannot take a curvature scale along the zero direction")
-    curvature = _gramian_form(point, g) if op is None else float(g @ op.apply(g))
+    curvature = _gramian_form(point, g)
     return gg / curvature if curvature > 0.0 else math.inf
 
 

@@ -37,6 +37,8 @@ class UsageError(ValueError):
 
 
 def _override_dataclass(obj, overrides: dict, section: str):
+    if not isinstance(overrides, dict):
+        raise UsageError(f"{section} config section must be a JSON object")
     valid = {f.name for f in dataclasses.fields(obj)}
     unknown = set(overrides) - valid
     if unknown:

@@ -16,11 +16,14 @@ One outer iteration works on a validated step state at the current point:
    after too many halvings.  A stepsize-validation failure at the trial
    point halves ``gamma`` and restarts the iteration.
 5. Optionally raise ``gamma`` back to a curvature-scale floor before the
-   next iteration; the raised value is re-validated by step 1.
+   next iteration: ``g.g / g.G.g`` with ``g`` the gradient and ``G`` the
+   Gramian at the accepted point, the form taken from R-by-R products
+   (:func:`~ncpd.calculus.cauchy_scale`).  The raised value is
+   re-validated by step 1.
 
 The projected-gradient solver is the same driver without the direction,
-so both algorithms share stepsize handling, counters and trace format
-exactly.
+so both algorithms share stepsize handling, the curvature floor, counters
+and trace format exactly: the two differ only in step 3.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import EvalCounters, GramianOperator, cauchy_scale
+from .calculus import EvalCounters, cauchy_scale
 from .constraints import DegenerateBlockError, FeasibleSet, project
 from .forward_backward import CpdProblem, StepState, fb_step, solve_direction
 from .rng import STREAM_PROBE, substream
@@ -437,12 +440,9 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, ga
             g = cand.grad
             gg = float(g @ g)
             if gg > 0.0:
-                # One Gramian product per floor.  A Gauss-Newton solve takes
-                # it through an operator, which rounds as its traces were
-                # recorded; a projected-gradient solve from R-by-R products.
+                # One Gramian product per floor, from R-by-R products.
                 counters.gramian_applies += 1
-                op = GramianOperator(cand.point) if gauss_newton else None
-                eta = cauchy_scale(cand.point, g, op=op)
+                eta = cauchy_scale(cand.point, g)
                 if math.isfinite(eta) and eta > cand.gamma:
                     cand = cand.with_gamma(eta)
         state = cand

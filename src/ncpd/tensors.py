@@ -85,7 +85,7 @@ class DenseTensor:
     values: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(as_integer(d, "mode size") for d in self.dims)
         if len(dims) < 2:
             raise ValueError(f"need at least 2 modes, got {len(dims)}")
         if any(d < 1 for d in dims):
@@ -353,7 +353,7 @@ def tensor_from_cpd(point: CpdPoint, dims=None) -> DenseTensor:
     :func:`value_and_residual`, so that the data made here evaluates to a
     residual of exactly zero at ``point``, at every number of modes."""
     structure = point.structure
-    if dims is not None and tuple(int(d) for d in dims) != structure.dims:
+    if dims is not None and tuple(as_integer(d, "mode size") for d in dims) != structure.dims:
         raise ValueError(f"point dims {structure.dims} do not match requested {tuple(dims)}")
     left, right, scaled, step = _tree(point)
     model = np.empty((right.shape[0], left.shape[0]))

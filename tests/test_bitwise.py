@@ -7,8 +7,7 @@ iteration counts and convergence slopes), so the fast paths of
 loops exactly, signed zeros included, as must the dense system the
 direction solve assembles (``GramianOperator.dense``,
 ``JhatOperator.matrix``) and the direction it solves for, the curvature
-floor of a projected-gradient step (``cauchy_scale`` without an operator)
-and a step state's fields; the evaluation core
+floor of both solvers (``cauchy_scale``) and a step state's fields; the evaluation core
 (``objective_value``, ``gradient`` and the pair
 ``value_and_residual``/``gradient_from_residual``) must reproduce a
 reference evaluation at every number of modes: a plain loop over the
@@ -254,12 +253,12 @@ def test_direction_matches_reference_solve_bitwise():
     assert_bitwise(np.float64(report.rel_residual), np.float64(want_rel))
 
 
-# --- the curvature floor of a projected-gradient step --------------------------
+# --- the curvature floor --------------------------------------------------------
 
 
 def assert_curvature_floor_matches_form_loop(point, g):
-    """``cauchy_scale`` without an operator, and the form behind it, against
-    the entry-by-entry reference; a zero ``g`` is refused."""
+    """``cauchy_scale``, and the form behind it, against the entry-by-entry
+    reference; a zero ``g`` is refused."""
     gg = g @ g
     if gg == 0.0:
         with pytest.raises(ValueError, match="zero direction"):
@@ -280,8 +279,8 @@ def test_curvature_floor_matches_form_loop_bitwise(case):
 
 @pytest.mark.parametrize("dims,rank", [((10, 10, 10), 5), ((30, 30, 30, 30), 8), ((25, 40, 12, 40), 9)])
 def test_curvature_floor_matches_form_loop_bitwise_at_solver_sizes(dims, rank):
-    # the floor of a projected-gradient step: a projected point and a
-    # gradient-sized direction
+    # the floor of a solver step: a projected point and a gradient-sized
+    # direction
     structure = CpdStructure(dims, rank)
     rng = np.random.default_rng(sum(dims) + rank)
     point = project(FeasibleSet(structure), rng.uniform(-0.1, 1.0, structure.size))

@@ -304,8 +304,8 @@ def test_cauchy_scale_matches_quadratic_form(rng):
 @example((2, 4, 4, 1), 2, "column", 2)
 @settings(max_examples=60, deadline=None)
 def test_cauchy_scale_matches_quadratic_form_over_shapes(dims, rank, zero, seed):
-    # The form from R-by-R products (no operator given) against the dense
-    # Jacobian and the operator's apply, over runs of equal-size modes and
+    # The form from R-by-R products against the dense Jacobian and the
+    # operator's apply, over runs of equal-size modes and
     # mixed sizes, with a zero weight or an all-zero factor column.  g.G.g
     # can cancel to far below its terms, so the error is measured relative
     # to the same form on absolute values, the scale of its rounding.
@@ -323,7 +323,7 @@ def test_cauchy_scale_matches_quadratic_form_over_shapes(dims, rank, zero, seed)
     tol = 1e-12 * float(np.sum((np.abs(jac) @ np.abs(g)) ** 2)) / gg
     got = 1.0 / cauchy_scale(point, g)
     assert abs(got - float(np.sum((jac @ g) ** 2)) / gg) <= tol
-    assert abs(got - 1.0 / cauchy_scale(point, g, op=GramianOperator(point))) <= tol
+    assert abs(got - float(g @ GramianOperator(point).apply(g)) / gg) <= tol
 
 
 def test_cauchy_scale_scale_invariant(rng):
@@ -342,10 +342,12 @@ def test_cauchy_scale_zero_gradient(rng):
 
 @pytest.mark.parametrize("shape", [(5,), (21,), (20, 1), ()])
 def test_cauchy_scale_rejects_a_direction_of_another_length(rng, shape):
-    # with or without an operator, as the operators' applies do
+    # with the message of the Gramian operator's apply
     structure = tiny_structure()  # flat length 20
     point = random_feasible(structure, rng)
     g = rng.standard_normal(shape)
-    for op in (None, GramianOperator(point)):
-        with pytest.raises(ValueError, match=rf"^expected flat length 20, got {re.escape(str(shape))}$"):
-            cauchy_scale(point, g, op=op)
+    message = rf"^expected flat length 20, got {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        cauchy_scale(point, g)
+    with pytest.raises(ValueError, match=message):
+        GramianOperator(point).apply(g)

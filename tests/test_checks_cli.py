@@ -286,8 +286,11 @@ def test_config_invalid_field_value(tensor_file, tmp_path, capsys):
     ({"solver": {"cauchy_floor": "no"}}, "invalid solver config: cauchy_floor must be a bool, got 'no'"),
     ({"solver": {"box_bound": True}}, "invalid solver config: box_bound must be a real number, got True"),
     ({"solver": {"alpha": "0.5"}}, "invalid solver config: alpha must be a real number, got '0.5'"),
+    ({"solver": None}, "solver config section must be a JSON object"),
+    ({"solver": [1]}, "solver config section must be a JSON object"),
+    ({"instance": "rank"}, "instance config section must be a JSON object"),
 ], ids=["rank", "dims", "zeros_per_factor", "max_iters", "max_iters-bool", "seed", "cauchy_floor", "box_bound-bool",
-        "alpha-string"])
+        "alpha-string", "solver-null", "solver-list", "instance-string"])
 def test_config_non_integer_value_exits_1_and_writes_nothing(overlay, message, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(overlay))

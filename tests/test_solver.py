@@ -485,35 +485,27 @@ def test_cauchy_floor_can_raise_gamma():
     assert any(b > a for a, b in zip(gammas, gammas[1:]))
 
 
-def test_pgd_floor_builds_no_gramian_operator(monkeypatch):
-    # a projected-gradient step takes its curvature product from R-by-R
-    # products; the trace still counts one product per accepted step
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a projected-gradient solve built a GramianOperator")
+@pytest.mark.parametrize("solve,refused,kinds", [
+    (panoc_solve, ("apply",), {"gn"}),
+    (pgd_solve, ("__init__", "apply"), {"pgd"}),
+], ids=["gn", "pgd"])
+def test_floor_counts_one_gramian_product_per_step_without_an_apply(monkeypatch, solve, refused, kinds):
+    # both solvers take the floor's curvature product from R-by-R products,
+    # and the trace counts one product per accepted step; a Gauss-Newton
+    # solve builds a Gramian for its direction solves alone, and a
+    # projected-gradient solve none
+    def refusing(name):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"the solve called GramianOperator.{name}")
+        return refuse
 
-    monkeypatch.setattr(GramianOperator, "__init__", refuse)
+    for name in refused:
+        monkeypatch.setattr(GramianOperator, name, refusing(name))
     structure, tensor, planted = small_exact(29)
-    res = pgd_solve(tensor, perturbed(planted, 19, scale=0.3), SolverConfig(max_iters=30))
+    res = solve(tensor, perturbed(planted, 19, scale=0.3), SolverConfig(max_iters=30))
     assert len(res.trace) > 1
+    assert kinds <= {r.kind for r in res.trace}
     assert [r.gramian_applies for r in res.trace] == list(range(len(res.trace)))
-
-
-def test_gn_floor_counts_one_gramian_apply_per_step(monkeypatch):
-    # the solver counts the floor's one Gramian product in both modes, and
-    # in a Gauss-Newton solve only the floor applies the operator
-    applies = []
-    apply = GramianOperator.apply
-
-    def counted(self, v):
-        applies.append(v)
-        return apply(self, v)
-
-    monkeypatch.setattr(GramianOperator, "apply", counted)
-    structure, tensor, planted = small_exact(29)
-    res = panoc_solve(tensor, perturbed(planted, 19, scale=0.3), SolverConfig(max_iters=30))
-    assert len(res.trace) > 1
-    assert [r.gramian_applies for r in res.trace] == list(range(len(res.trace)))
-    assert len(applies) == res.trace[-1].gramian_applies
 
 
 def test_pgd_step_after_a_failed_trial_reuses_the_projected_evaluation(monkeypatch):

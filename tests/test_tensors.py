@@ -484,6 +484,27 @@ def test_dense_tensor_validation():
         DenseTensor((2, 2), np.zeros(3))
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: DenseTensor((2.7, 3), np.zeros(6)), "mode size must be an integer, got 2.7"),
+    (lambda: DenseTensor(("2", 3), np.zeros(6)), "mode size must be an integer, got '2'"),
+    (lambda: DenseTensor((2, True), np.zeros(2)), "mode size must be an integer, got True"),
+    (lambda: tensor_from_cpd(random_point(CpdStructure((3, 3), 2), 0), (2.9, 3)),
+     "mode size must be an integer, got 2.9"),
+    (lambda: tensor_from_cpd(random_point(CpdStructure((3, 3), 2), 0), (3.0, 3)),
+     "mode size must be an integer, got 3.0"),
+], ids=["tensor-float", "tensor-string", "tensor-bool", "from-cpd-float", "from-cpd-integral-float"])
+def test_dense_tensor_and_tensor_from_cpd_reject_non_integer_sizes(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_dense_tensor_takes_numpy_integer_sizes():
+    t = DenseTensor(np.array([2, 3]), np.zeros(6))
+    assert t.dims == (2, 3) and all(type(d) is int for d in t.dims)
+    point = random_point(CpdStructure((3, 3), 2), 0)
+    assert tensor_from_cpd(point, (np.int64(3), 3)).dims == (3, 3)
+
+
 def test_structure_validation():
     with pytest.raises(ValueError):
         CpdStructure((2, 2), 0)
