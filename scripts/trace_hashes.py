@@ -29,6 +29,19 @@ by one command::
     PYTHONPATH=<parent>/src python scripts/trace_hashes.py > parent.txt
     PYTHONPATH=src python scripts/trace_hashes.py --baseline parent.txt
 
+A change meant to move one counter and keep every other bit, such as one
+that saves a gradient per solve, is checked with that column left out of
+both runs, since a baseline must be saved with the same options::
+
+    PYTHONPATH=<parent>/src python scripts/trace_hashes.py --without gevals > parent.txt
+    PYTHONPATH=src python scripts/trace_hashes.py --without gevals --baseline parent.txt
+
+Every group should then read ``only gevals``, with each run's final
+``gevals`` before and after, and the ``exact`` line ``same``; the status
+is 1, because the traces differ.  What such a change does to the outcomes
+of many Gauss-Newton solves (final ``f``, stop reasons, gradients) is
+shown by ``scripts/outcome_panels.py --baseline``.
+
 Groups:
 
 * ``quadratic``: the 50-run quadratic study, base seed 1 (traces with the

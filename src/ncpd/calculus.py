@@ -8,6 +8,9 @@ A gradient is the residual's MTTKRPs (matricized tensor times Khatri-Rao
 products), one per mode.  The objective and both halves of a dimension
 tree that splits the modes in two come from one cache-blocked pass over
 the data, at every number of modes, and the residual is never built whole.
+An objective-only pass (:func:`~ncpd.tensors.objective_value`) skips the
+halves and gives the objective the same bits; a gradient at its point
+needs the full pass (:func:`~ncpd.tensors.value_and_residual`).
 
 The Gramian (Jacobian-transpose times Jacobian) never needs the Jacobian:
 thanks to the Kronecker structure of the Jacobian, its action on a vector,
@@ -280,9 +283,10 @@ def kernel_basis(point: CpdPoint) -> KernelBasis:
     return KernelBasis(basis, degenerate)
 
 
-def cauchy_scale(point: CpdPoint, g: np.ndarray) -> float:
+def cauchy_scale(point: CpdPoint, g: np.ndarray, gg: float | None = None) -> float:
     """Stepsize scale of the Gramian along ``g``: ``g.g / g.G.g``, the
-    inverse of its Rayleigh quotient.
+    inverse of its Rayleigh quotient.  ``gg``, when given, is ``g.g`` as
+    ``float(g @ g)`` computes it, which the caller has made already.
 
     ``g.G.g`` comes from R-by-R products alone (:func:`_gramian_form`),
     without building an operator; both solvers take their curvature floor
@@ -293,7 +297,8 @@ def cauchy_scale(point: CpdPoint, g: np.ndarray) -> float:
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (point.structure.size,):
         raise ValueError(f"expected flat length {point.structure.size}, got {g.shape}")
-    gg = float(g @ g)
+    if gg is None:
+        gg = float(g @ g)
     if gg == 0.0:
         raise ValueError("cannot take a curvature scale along the zero direction")
     curvature = _gramian_form(point, g)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .calculus import EvalCounters, GramianOperator, gradient, gradient_from_residual
 from .constraints import FeasibleSet, ProjJacobianElement, project, proj_jacobian
-from .tensors import CpdPoint, DenseTensor, objective_value, value_and_residual  # noqa: F401 (perfbench's traced run wraps objective_value here)
+from .tensors import CpdPoint, DenseTensor, objective_value, value_and_residual
 
 __all__ = [
     "CpdProblem",
@@ -65,11 +65,18 @@ class CpdProblem:
     An evaluation (:meth:`evaluate`) is the objective with the halves'
     partial contractions (see :func:`~ncpd.tensors.value_and_residual`),
     from which :meth:`value_and_gradient` finishes the gradient by the
-    MTTKRPs alone, reading no array of the tensor's size.  The problem
-    keeps no evaluation: the caller holds it and hands it back.
+    MTTKRPs alone, reading no array of the tensor's size.  An objective-only
+    evaluation (:func:`~ncpd.tensors.objective_value`) skips the
+    contractions and gives the same objective to the bit; a gradient from
+    it first completes the parts with one more pass, which is not counted
+    in ``fevals``.  With ``gauss_newton`` set, as in a Gauss-Newton solve,
+    whose steps read no gradient at a projected point, a step state's
+    evaluation there is objective-only.  The problem keeps no evaluation:
+    the caller holds it and hands it back.
     """
 
-    def __init__(self, tensor: DenseTensor, fset: FeasibleSet, counters: EvalCounters | None = None):
+    def __init__(self, tensor: DenseTensor, fset: FeasibleSet, counters: EvalCounters | None = None,
+                 gauss_newton: bool = False):
         if fset.structure.dims != tensor.dims:
             raise ValueError(
                 f"feasible set dims {fset.structure.dims} do not match tensor {tensor.dims}"
@@ -77,6 +84,7 @@ class CpdProblem:
         self.tensor = tensor
         self.fset = fset
         self.counters = counters if counters is not None else EvalCounters()
+        self.gauss_newton = gauss_newton
 
     @property
     def structure(self):
@@ -85,12 +93,18 @@ class CpdProblem:
     def point(self, x) -> CpdPoint:
         return CpdPoint.from_flat(self.structure, x)
 
-    def evaluate(self, point: CpdPoint) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-        """The objective at ``point`` and the parts of its evaluation, one
-        counted evaluation."""
+    def evaluate(self, point: CpdPoint, parts: bool = True,
+                 finite: bool = True) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
+        """The objective at ``point`` and the parts of its evaluation, or
+        ``None`` for them with ``parts`` false (objective-only); one counted
+        evaluation.  With ``finite`` false the objective is left to the
+        caller's check."""
         self.counters.fevals += 1
-        value, parts = value_and_residual(point, self.tensor)
-        return _finite_value(value), parts
+        if parts:
+            value, parts = value_and_residual(point, self.tensor)
+        else:
+            value, parts = objective_value(point, self.tensor), None
+        return _finite_value(value) if finite else value, parts
 
     def gradient(self, point: CpdPoint) -> np.ndarray:
         self.counters.gevals += 1
@@ -101,8 +115,12 @@ class CpdProblem:
         :meth:`evaluate` returned at ``point``, or else a new one.  Counts
         one gradient, and the new evaluation if one is made, which raises
         on a non-finite objective before the gradient is computed or
-        counted."""
+        counted.  An objective-only ``evaluation`` gets its parts from one
+        more pass, with no count, and keeps its objective, which that pass
+        repeats to the bit."""
         value, parts = self.evaluate(point) if evaluation is None else evaluation
+        if parts is None:
+            parts = value_and_residual(point, self.tensor)[1]
         self.counters.gevals += 1
         return value, _finite_gradient(gradient_from_residual(point, parts))
 
@@ -132,7 +150,9 @@ class StepState:
     evaluated and handed on as they are, so a step copies none beyond its
     projection.  ``z_evaluation``, the evaluation behind :attr:`fz`, is
     what a step to ``z`` passes to :func:`fb_step`, which then needs only
-    the MTTKRPs for its gradient.
+    the MTTKRPs for its gradient.  For a Gauss-Newton problem
+    (``CpdProblem.gauss_newton``) it is objective-only, so a step to ``z``
+    completes it with one uncounted pass.
     """
 
     def __init__(self, problem: CpdProblem, point: CpdPoint, gamma: float, fx: float, grad: np.ndarray):
@@ -149,12 +169,12 @@ class StepState:
         self._z_evaluation = None
 
     @property
-    def z_evaluation(self) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    def z_evaluation(self) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
         """The objective at the projected point ``z`` and the parts of its
-        evaluation (:meth:`CpdProblem.evaluate`); one counted evaluation,
-        kept."""
+        evaluation (:meth:`CpdProblem.evaluate`), objective-only for a
+        Gauss-Newton problem; one counted evaluation, kept."""
         if self._z_evaluation is None:
-            self._z_evaluation = self.problem.evaluate(self.z)
+            self._z_evaluation = self.problem.evaluate(self.z, parts=not self.problem.gauss_newton)
         return self._z_evaluation
 
     @property
@@ -176,8 +196,9 @@ def fb_step(problem: CpdProblem, x, gamma: float, evaluation: tuple | None = Non
     (:meth:`CpdProblem.value_and_gradient`) and count as one gradient
     evaluation, plus one objective evaluation unless ``evaluation`` is
     given: the evaluation already made at ``x``, as a projected-gradient
-    step to ``state.z`` passes ``state.z_evaluation``.  The objective at the
-    projected point is left to :attr:`StepState.fz`.
+    step to ``state.z`` passes ``state.z_evaluation``; an objective-only one
+    is completed by one more pass, which is not counted.  The objective at
+    the projected point is left to :attr:`StepState.fz`.
     """
     point = x if isinstance(x, CpdPoint) else problem.point(x)
     fx, grad = problem.value_and_gradient(point, evaluation)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .calculus import EvalCounters, cauchy_scale
 from .constraints import DegenerateBlockError, FeasibleSet, project
-from .forward_backward import CpdProblem, StepState, fb_step, solve_direction
+from .forward_backward import CpdProblem, StepState, _finite_value, fb_step, solve_direction
 from .rng import STREAM_PROBE, substream
 from .tensors import CpdPoint, DenseTensor, _multi_index, as_integer, as_real, format_float
 
@@ -108,7 +108,7 @@ class SolverConfig:
             raise ValueError(f"max_gamma_halvings must be at least 1, got {self.max_gamma_halvings}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class IterationRecord:
     """One trace row: the state at iteration ``k`` and the step taken from it.
 
@@ -203,19 +203,22 @@ class SolverResult:
 LIPSCHITZ_FD_STEP = 1e-6
 
 
-def estimate_lipschitz(gradient_fn, x0: np.ndarray, step: float, seed: int) -> float:
+def estimate_lipschitz(gradient_fn, x0: np.ndarray, step: float, seed: int,
+                       grad0: np.ndarray | None = None) -> float:
     """Gradient-Lipschitz estimate along one seeded random direction.
 
-    Two gradient evaluations; exact for quadratics with spherical Hessian.
-    The finite-difference spacing scales with ``1 + ||x0||`` and the result
-    is floored at 1e-12 so the initial stepsize stays finite.
+    Two gradients, one of them the start's: ``grad0``, the gradient at
+    ``x0`` when the caller has it, or else ``gradient_fn(x0)``, which is
+    then taken after the other.  Exact for quadratics with spherical
+    Hessian.  The finite-difference spacing scales with ``1 + ||x0||`` and
+    the result is floored at 1e-12 so the initial stepsize stays finite.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     rng = substream(seed, STREAM_PROBE)
     u = rng.standard_normal(x0.size)
     u /= np.linalg.norm(u)
     delta = step * (1.0 + float(np.linalg.norm(x0)))
-    diff = gradient_fn(x0 + delta * u) - gradient_fn(x0)
+    diff = gradient_fn(x0 + delta * u) - (gradient_fn(x0) if grad0 is None else grad0)
     lip = float(np.linalg.norm(diff)) / delta
     if not np.isfinite(lip):
         raise FloatingPointError("non-finite Lipschitz estimate")
@@ -309,7 +312,7 @@ def _solve(tensor: DenseTensor, x0: CpdPoint, cfg: SolverConfig | None, referenc
         raise ValueError(f"start point dims {structure.dims} do not match tensor {tensor.dims}")
     _check_finite(tensor, x0)
     fset = FeasibleSet(structure, cfg.box_bound)
-    problem = CpdProblem(tensor, fset, EvalCounters())
+    problem = CpdProblem(tensor, fset, EvalCounters(), gauss_newton)
     trace = SolverTrace(has_reference=reference is not None)
 
     def error_at(point):
@@ -347,10 +350,16 @@ def _check_finite(tensor: DenseTensor, x0: CpdPoint) -> None:
 
 def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, gauss_newton: bool) -> SolverResult:
     counters = problem.counters
+    # One evaluation of the start gives the probe its gradient there and the
+    # first step state its objective and gradient.  The objective is checked
+    # after the probe, so that a start that overflows is named by the first
+    # of the gradients, the Lipschitz estimate and the objective to fail.
+    evaluation = problem.evaluate(start, finite=False)
+    grad = problem.value_and_gradient(start, evaluation)[1]
     lip = estimate_lipschitz(
-        lambda v: problem.gradient(problem.point(v)), start.flat, LIPSCHITZ_FD_STEP, cfg.seed
+        lambda v: problem.gradient(problem.point(v)), start.flat, LIPSCHITZ_FD_STEP, cfg.seed, grad
     )
-    state = fb_step(problem, start, cfg.alpha / lip)
+    state = StepState(problem, start, cfg.alpha / lip, _finite_value(evaluation[0]), grad)
     k = 0
     gh_pending = 0
     gh_total = 0
@@ -442,7 +451,7 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, ga
             if gg > 0.0:
                 # One Gramian product per floor, from R-by-R products.
                 counters.gramian_applies += 1
-                eta = cauchy_scale(cand.point, g)
+                eta = cauchy_scale(cand.point, g, gg)
                 if math.isfinite(eta) and eta > cand.gamma:
                     cand = cand.with_gamma(eta)
         state = cand

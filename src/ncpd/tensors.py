@@ -363,7 +363,6 @@ def tensor_from_cpd(point: CpdPoint, dims=None) -> DenseTensor:
     return DenseTensor(structure.dims, model.reshape(-1))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def value_and_residual(point: CpdPoint, tensor: DenseTensor) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Half squared residual norm, and the two arrays that :func:`mttkrps`
     needs besides the point: the partial contractions of the residual with
@@ -378,14 +377,31 @@ def value_and_residual(point: CpdPoint, tensor: DenseTensor) -> tuple[float, tup
     written into one reused buffer and the data subtracted; that residual
     block's squared norm is added to f, its transpose times the right
     half's product to the left half's partial contraction, and its product
-    with the left half's is written into the right half's rows.  Overflow
-    is left to the caller's finiteness check, without a warning.
+    with the left half's is written into the right half's rows.
+    :func:`objective_value` makes the same pass without the contractions,
+    so both give f the same bits.  Overflow is left to the caller's
+    finiteness check, without a warning.
     """
+    return _evaluate(point, tensor, True)
+
+
+def objective_value(point: CpdPoint, tensor: DenseTensor) -> float:
+    """Half squared residual norm ``0.5 * ||model - data||^2``: the pass of
+    :func:`value_and_residual`, with the same blocks, model products,
+    subtractions and per-block dot products in the same order, but without
+    the partial contractions, so f has the same bits at a lower cost."""
+    return _evaluate(point, tensor, False)[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _evaluate(point: CpdPoint, tensor: DenseTensor, parts: bool):
+    """The block loop of :func:`value_and_residual`; with ``parts`` false,
+    the objective alone and ``None``."""
     if point.structure.dims != tensor.dims:
         raise ValueError(f"point dims {point.structure.dims} do not match tensor {tensor.dims}")
     left, right, scaled, step = _tree(point)
     data = tensor.values.reshape(right.shape[0], left.shape[0])
-    right_partial = np.empty(right.shape)
+    right_partial = np.empty(right.shape) if parts else None
     total = 0.0
     for start in range(0, data.shape[0], step):
         rows = slice(start, start + step)
@@ -394,23 +410,21 @@ def value_and_residual(point: CpdPoint, tensor: DenseTensor) -> tuple[float, tup
         np.subtract(block, data[rows], out=block)
         flat = block.reshape(-1)
         total += float(flat @ flat)
+        if not start:  # later blocks, no larger, reuse the first one's buffer
+            buf = block
+        if not parts:
+            continue
         np.matmul(block, left, out=right_partial[rows])
         if start:
             left_partial += block.T @ right_rows
-        else:  # later blocks, no larger, reuse the first one's buffer; a
-            # matrix product sums from +0.0, so adding it to zeros would change no bit
-            buf, left_partial = block, block.T @ right_rows
-    return 0.5 * total, (left_partial, right_partial)
+        else:  # a matrix product sums from +0.0, so adding it to zeros would change no bit
+            left_partial = block.T @ right_rows
+    return 0.5 * total, (left_partial, right_partial) if parts else None
 
 
 def residual_values(point: CpdPoint, tensor: DenseTensor) -> np.ndarray:
     """Flat residual: the model of :func:`tensor_from_cpd` minus the data."""
     return tensor_from_cpd(point, tensor.dims).values - tensor.values
-
-
-def objective_value(point: CpdPoint, tensor: DenseTensor) -> float:
-    """Half squared residual norm ``0.5 * ||model - data||^2``."""
-    return value_and_residual(point, tensor)[0]
 
 
 def mttkrps(point: CpdPoint, parts: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:

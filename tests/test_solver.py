@@ -115,6 +115,32 @@ def test_lipschitz_within_factor_of_gramian_spectrum():
     assert top / 100.0 <= est <= 100.0 * top
 
 
+def test_lipschitz_probe_given_the_start_gradient_evaluates_one_and_keeps_the_bits():
+    structure, tensor, planted = small_exact(2)
+    problem = CpdProblem(tensor, FeasibleSet(structure), EvalCounters())
+    x0 = perturbed(planted, 5).flat
+
+    def gradient_at(v):
+        return problem.gradient(problem.point(v))
+
+    both = estimate_lipschitz(gradient_at, x0, 1e-6, seed=0)
+    grad0 = gradient_at(x0)
+    assert problem.counters.gevals == 3
+    one = estimate_lipschitz(gradient_at, x0, 1e-6, seed=0, grad0=grad0)
+    assert problem.counters.gevals == 4
+    assert np.float64(one).tobytes() == np.float64(both).tobytes()
+
+
+@pytest.mark.parametrize("solve", [panoc_solve, pgd_solve])
+def test_first_row_counts_the_start_gradient_and_the_probe_gradient(solve):
+    # one evaluation of the start serves the Lipschitz probe and the first
+    # step state, so the first row has counted two gradients, where no
+    # trial point of iteration 0 failed the stepsize test
+    for structure, tensor, planted in (small_exact(29), small_exact(33, dims=(6, 5, 4, 3), rank=3)):
+        res = solve(tensor, perturbed(planted, 20), SolverConfig(max_iters=5))
+        assert res.trace[0].gevals == 2
+
+
 # --- gamma condition ----------------------------------------------------------
 
 
@@ -346,6 +372,30 @@ def test_scaled_data_solves_like_unscaled_data():
     assert scaled.f / 1e100 == pytest.approx(plain.f, rel=1e-6)
 
 
+@pytest.mark.parametrize("solve", [panoc_solve, pgd_solve])
+@pytest.mark.parametrize("spec,scale,weight_scale,message", [
+    (_COMPARE_SEED1, 1e155, 1.0, "objective evaluated to a non-finite value"),
+    (_COMPARE_SEED1, 1e160, 1.0, "non-finite Lipschitz estimate"),
+    (_FOUR_SMALL_MODES, 1e160, 1.0, "objective evaluated to a non-finite value"),
+    (_FOUR_SMALL_MODES, 1e300, 1.0, "non-finite Lipschitz estimate"),
+    (_COMPARE_SEED1, 1.0, 1e200, "gradient evaluated to a non-finite value"),
+    (_FOUR_SMALL_MODES, 1.0, 1e150, "gradient evaluated to a non-finite value"),
+])
+def test_a_start_that_overflows_raises_before_any_row_with_its_message(spec, scale, weight_scale, message, solve):
+    # the start's one evaluation serves the probe and the first step; its
+    # objective is checked after the probe's gradients and estimate, so the
+    # error names the first of them to fail: where the data or the start's
+    # weights are scaled far enough, the gradients or the estimate overflow
+    # as well as the objective
+    tensor = gen_inexact_instance(spec)
+    scaled = DenseTensor(tensor.dims, tensor.values * scale)
+    start = random_feasible_point(spec.structure, spec.seed)
+    start = CpdPoint(start.factors, start.weights * weight_scale)
+    with pytest.raises(NonFiniteError, match=f"^{message}$") as info:
+        solve(scaled, start, SolverConfig(seed=spec.seed))
+    assert len(info.value.trace) == 0
+
+
 def test_start_dims_must_match():
     structure, tensor, planted = small_exact(19)
     other = CpdStructure((4, 4, 4), 2)
@@ -530,7 +580,7 @@ def test_pgd_step_after_a_failed_trial_reuses_the_projected_evaluation(monkeypat
     res = panoc_solve(gen_inexact_instance(spec), random_feasible_point(spec.structure, 11), SolverConfig(max_iters=10))
     assert res.iterations == 10
     assert all(r.kind == "pgd" and r.tau_halvings == 5 for r in res.trace.records[:-1])
-    to_projected = [added for x, added in steps[1:] if isinstance(x, CpdPoint)]  # steps[0] is the start
+    to_projected = [added for x, added in steps if isinstance(x, CpdPoint)]
     assert len(to_projected) >= 10
     assert all(added == (0, 1) for added in to_projected)
 
@@ -538,8 +588,12 @@ def test_pgd_step_after_a_failed_trial_reuses_the_projected_evaluation(monkeypat
 def test_a_degenerate_block_gives_a_pgd_step_and_the_solve_goes_on(monkeypatch):
     # solve_direction raises where the pre-projection point has a factor
     # block with no positive part; the solver takes the projected-gradient
-    # step there and goes on with Gauss-Newton directions
+    # step there and goes on with Gauss-Newton directions.  The objective
+    # at the projected point was objective-only, so the step completes its
+    # evaluation with a pass that fevals does not count, and gets the
+    # gradient of a full evaluation there to the bit
     calls = []
+    steps = []
 
     def degenerate_first(state):
         calls.append(state)
@@ -547,7 +601,15 @@ def test_a_degenerate_block_gives_a_pgd_step_and_the_solve_goes_on(monkeypatch):
             raise DegenerateBlockError("factor block (mode 0, column 0) has no positive part")
         return solve_direction(state)
 
+    def recorded_step(problem, x, gamma, *evaluation):
+        before = (problem.counters.fevals, problem.counters.gevals)
+        state = fb_step(problem, x, gamma, *evaluation)
+        added = (problem.counters.fevals - before[0], problem.counters.gevals - before[1])
+        steps.append((evaluation, state, added))
+        return state
+
     monkeypatch.setattr(solver, "solve_direction", degenerate_first)
+    monkeypatch.setattr(solver, "fb_step", recorded_step)
     structure, tensor, planted = small_exact(29)
     res = panoc_solve(tensor, perturbed(planted, 19, scale=0.3))
     first = res.trace[0]
@@ -555,6 +617,11 @@ def test_a_degenerate_block_gives_a_pgd_step_and_the_solve_goes_on(monkeypatch):
     assert len(calls) > 1
     assert "gn" in [r.kind for r in res.trace.records[1:]]
     assert res.converged
+    (evaluation,), step, added = steps[0]
+    assert evaluation[1] is None and added == (0, 1)
+    fresh = fb_step(CpdProblem(tensor, FeasibleSet(structure)), np.array(step.x), step.gamma)
+    assert np.float64(step.fx).tobytes() == np.float64(fresh.fx).tobytes()
+    assert step.grad.tobytes() == fresh.grad.tobytes()
 
 
 def test_stagnation_reason():

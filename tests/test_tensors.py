@@ -2,6 +2,7 @@ import math
 import os
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -210,6 +211,41 @@ def test_objective_matches_oracle():
     tensor = tensor_from_cpd(target)
     want = oracles.objective(point.flat, structure.dims, structure.rank, tensor.values)
     assert objective_value(point, tensor) == pytest.approx(want, rel=1e-14)
+
+
+_MODES_2_TO_5 = [(7, 5), (6, 5, 4), (5, 4, 3, 3), (4, 3, 3, 2, 2)]
+
+
+@pytest.mark.parametrize("dims", _MODES_2_TO_5)
+@pytest.mark.parametrize("block_rows", [None, 1, 3])
+def test_objective_only_pass_keeps_the_bits_of_the_full_pass(dims, block_rows, monkeypatch):
+    # objective_value makes the blocks, model products, subtractions and
+    # dot products of value_and_residual without the partial contractions,
+    # so f keeps its bits, with one block or several (the last one ragged
+    # where block_rows does not divide the rows), and an exact fit stays 0
+    if block_rows is not None:
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", 8 * math.prod(dims[: len(dims) // 2]) * block_rows)
+    structure = CpdStructure(dims, 3)
+    rng = np.random.default_rng(sum(dims))
+    point = CpdPoint.from_flat(structure, rng.uniform(-0.2, 1.0, structure.size))
+    tensor = DenseTensor(dims, rng.standard_normal(math.prod(dims)))
+    f = objective_value(point, tensor)
+    assert f > 0.0
+    assert np.float64(f).tobytes() == np.float64(value_and_residual(point, tensor)[0]).tobytes()
+    exact = tensor_from_cpd(point)
+    assert objective_value(point, exact) == 0.0 == value_and_residual(point, exact)[0]
+
+
+@pytest.mark.parametrize("dims", _MODES_2_TO_5)
+def test_objective_only_pass_overflows_to_inf_without_a_warning(dims, monkeypatch):
+    monkeypatch.setattr(tensors, "_BLOCK_BYTES", 8 * math.prod(dims[: len(dims) // 2]))
+    structure = CpdStructure(dims, 3)
+    rng = np.random.default_rng(sum(dims))
+    point = CpdPoint.from_flat(structure, rng.uniform(0.0, 1.0, structure.size))
+    tensor = DenseTensor(dims, 1e160 * rng.standard_normal(math.prod(dims)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert objective_value(point, tensor) == math.inf == value_and_residual(point, tensor)[0]
 
 
 # --- unfolding --------------------------------------------------------------
