@@ -283,10 +283,10 @@ def kernel_basis(point: CpdPoint) -> KernelBasis:
     return KernelBasis(basis, degenerate)
 
 
-def cauchy_scale(point: CpdPoint, g: np.ndarray, gg: float | None = None) -> float:
+def cauchy_scale(point: CpdPoint, g: np.ndarray, gg: float) -> float:
     """Stepsize scale of the Gramian along ``g``: ``g.g / g.G.g``, the
-    inverse of its Rayleigh quotient.  ``gg``, when given, is ``g.g`` as
-    ``float(g @ g)`` computes it, which the caller has made already.
+    inverse of its Rayleigh quotient.  ``gg`` is ``g.g``, which the caller
+    has made, as ``float(g @ g)``, to tell a zero direction.
 
     ``g.G.g`` comes from R-by-R products alone (:func:`_gramian_form`),
     without building an operator; both solvers take their curvature floor
@@ -297,8 +297,6 @@ def cauchy_scale(point: CpdPoint, g: np.ndarray, gg: float | None = None) -> flo
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (point.structure.size,):
         raise ValueError(f"expected flat length {point.structure.size}, got {g.shape}")
-    if gg is None:
-        gg = float(g @ g)
     if gg == 0.0:
         raise ValueError("cannot take a curvature scale along the zero direction")
     curvature = _gramian_form(point, g)

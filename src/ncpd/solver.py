@@ -203,22 +203,21 @@ class SolverResult:
 LIPSCHITZ_FD_STEP = 1e-6
 
 
-def estimate_lipschitz(gradient_fn, x0: np.ndarray, step: float, seed: int,
-                       grad0: np.ndarray | None = None) -> float:
+def estimate_lipschitz(gradient_fn, x0: np.ndarray, grad0: np.ndarray, step: float, seed: int) -> float:
     """Gradient-Lipschitz estimate along one seeded random direction.
 
     Two gradients, one of them the start's: ``grad0``, the gradient at
-    ``x0`` when the caller has it, or else ``gradient_fn(x0)``, which is
-    then taken after the other.  Exact for quadratics with spherical
-    Hessian.  The finite-difference spacing scales with ``1 + ||x0||`` and
-    the result is floored at 1e-12 so the initial stepsize stays finite.
+    ``x0``, which the caller has made, and one ``gradient_fn`` call at a
+    nearby point.  Exact for quadratics with spherical Hessian.  The
+    finite-difference spacing scales with ``1 + ||x0||`` and the result is
+    floored at 1e-12 so the initial stepsize stays finite.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     rng = substream(seed, STREAM_PROBE)
     u = rng.standard_normal(x0.size)
     u /= np.linalg.norm(u)
     delta = step * (1.0 + float(np.linalg.norm(x0)))
-    diff = gradient_fn(x0 + delta * u) - (gradient_fn(x0) if grad0 is None else grad0)
+    diff = gradient_fn(x0 + delta * u) - grad0
     lip = float(np.linalg.norm(diff)) / delta
     if not np.isfinite(lip):
         raise FloatingPointError("non-finite Lipschitz estimate")
@@ -322,7 +321,7 @@ def _solve(tensor: DenseTensor, x0: CpdPoint, cfg: SolverConfig | None, referenc
         # every value that decides the solve is checked, so an overflow on
         # the way there needs no numpy warning
         with np.errstate(all="ignore"):
-            return _panoc_loop(problem, project(fset, x0.flat), cfg, trace, error_at, gauss_newton)
+            return _panoc_loop(problem, project(fset, x0.flat), cfg, trace, error_at)
     except FloatingPointError as exc:
         raise NonFiniteError(str(exc), trace) from exc
 
@@ -348,7 +347,7 @@ def _check_finite(tensor: DenseTensor, x0: CpdPoint) -> None:
     raise ValueError(f"start point has a non-finite value {x0.flat[i]} at {where}")
 
 
-def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, gauss_newton: bool) -> SolverResult:
+def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at) -> SolverResult:
     counters = problem.counters
     # One evaluation of the start gives the probe its gradient there and the
     # first step state its objective and gradient.  The objective is checked
@@ -357,7 +356,7 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, ga
     evaluation = problem.evaluate(start, finite=False)
     grad = problem.value_and_gradient(start, evaluation)[1]
     lip = estimate_lipschitz(
-        lambda v: problem.gradient(problem.point(v)), start.flat, LIPSCHITZ_FD_STEP, cfg.seed, grad
+        lambda v: problem.gradient(problem.point(v)), start.flat, grad, LIPSCHITZ_FD_STEP, cfg.seed
     )
     state = StepState(problem, start, cfg.alpha / lip, _finite_value(evaluation[0]), grad)
     k = 0
@@ -404,7 +403,7 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at, ga
         # A factor block of w with no positive part has no projection
         # Jacobian, so solve_direction raises and the step is pgd.
         direction = None
-        if gauss_newton:
+        if problem.gauss_newton:
             try:
                 d, report = solve_direction(state)
                 if not report.breakdown:

@@ -259,15 +259,15 @@ def test_direction_matches_reference_solve_bitwise():
 def assert_curvature_floor_matches_form_loop(point, g):
     """``cauchy_scale``, and the form behind it, against the entry-by-entry
     reference; a zero ``g`` is refused."""
-    gg = g @ g
+    gg = float(g @ g)
     if gg == 0.0:
         with pytest.raises(ValueError, match="zero direction"):
-            cauchy_scale(point, g)
+            cauchy_scale(point, g, gg)
         return
     form = oracles.gramian_form_loop(point.factors, point.weights, g)
     assert_bitwise(np.float64(calculus._gramian_form(point, g)), np.float64(form))
     want = gg / form if form > 0.0 else math.inf
-    assert_bitwise(np.float64(cauchy_scale(point, g)), np.float64(want))
+    assert_bitwise(np.float64(cauchy_scale(point, g, gg)), np.float64(want))
 
 
 @given(cases())

@@ -280,8 +280,8 @@ def test_cauchy_scale_eigenvector():
     dense = jac.T @ jac
     evals, evecs = np.linalg.eigh(dense)
     g = evecs[:, -1]
-    assert 1.0 / cauchy_scale(point, g) == pytest.approx(evals[-1], rel=1e-10)
-    assert cauchy_scale(point, g) == pytest.approx(1.0 / evals[-1], rel=1e-10)
+    assert 1.0 / cauchy_scale(point, g, float(g @ g)) == pytest.approx(evals[-1], rel=1e-10)
+    assert cauchy_scale(point, g, float(g @ g)) == pytest.approx(1.0 / evals[-1], rel=1e-10)
 
 
 def test_cauchy_scale_matches_quadratic_form(rng):
@@ -291,7 +291,7 @@ def test_cauchy_scale_matches_quadratic_form(rng):
     dense = jac.T @ jac
     g = rng.standard_normal(structure.size)
     want = float(g @ dense @ g) / float(g @ g)
-    assert 1.0 / cauchy_scale(point, g) == pytest.approx(want, rel=1e-12)
+    assert 1.0 / cauchy_scale(point, g, float(g @ g)) == pytest.approx(want, rel=1e-12)
 
 
 @given(
@@ -321,7 +321,7 @@ def test_cauchy_scale_matches_quadratic_form_over_shapes(dims, rank, zero, seed)
     jac = explicit_jacobian(point)
     gg = float(g @ g)
     tol = 1e-12 * float(np.sum((np.abs(jac) @ np.abs(g)) ** 2)) / gg
-    got = 1.0 / cauchy_scale(point, g)
+    got = 1.0 / cauchy_scale(point, g, gg)
     assert abs(got - float(np.sum((jac @ g) ** 2)) / gg) <= tol
     assert abs(got - float(g @ GramianOperator(point).apply(g)) / gg) <= tol
 
@@ -330,14 +330,15 @@ def test_cauchy_scale_scale_invariant(rng):
     structure = tiny_structure()
     point = random_feasible(structure, rng)
     g = rng.standard_normal(structure.size)
-    assert cauchy_scale(point, g) == pytest.approx(cauchy_scale(point, 3.7 * g), rel=1e-12)
+    h = 3.7 * g
+    assert cauchy_scale(point, g, float(g @ g)) == pytest.approx(cauchy_scale(point, h, float(h @ h)), rel=1e-12)
 
 
 def test_cauchy_scale_zero_gradient(rng):
     structure = tiny_structure()
     point = random_feasible(structure, rng)
     with pytest.raises(ValueError):
-        cauchy_scale(point, np.zeros(structure.size))
+        cauchy_scale(point, np.zeros(structure.size), 0.0)
 
 
 @pytest.mark.parametrize("shape", [(5,), (21,), (20, 1), ()])
@@ -348,6 +349,6 @@ def test_cauchy_scale_rejects_a_direction_of_another_length(rng, shape):
     g = rng.standard_normal(shape)
     message = rf"^expected flat length 20, got {re.escape(str(shape))}$"
     with pytest.raises(ValueError, match=message):
-        cauchy_scale(point, g)
+        cauchy_scale(point, g, 1.0)
     with pytest.raises(ValueError, match=message):
         GramianOperator(point).apply(g)

@@ -84,7 +84,7 @@ def test_config_takes_integer_and_numpy_reals():
 
 def test_lipschitz_exact_for_spherical_quadratic():
     mu = 7.5
-    est = estimate_lipschitz(lambda v: mu * v, np.zeros(30), step=1e-6, seed=0)
+    est = estimate_lipschitz(lambda v: mu * v, np.zeros(30), np.zeros(30), step=1e-6, seed=0)
     assert est == pytest.approx(mu, rel=1e-12)
 
 
@@ -94,12 +94,13 @@ def test_lipschitz_deterministic():
     a = mat @ mat.T
     g = lambda v: a @ v
     x0 = rng.standard_normal(10)
-    assert estimate_lipschitz(g, x0, 1e-6, seed=3) == estimate_lipschitz(g, x0, 1e-6, seed=3)
-    assert estimate_lipschitz(g, x0, 1e-6, seed=3) != estimate_lipschitz(g, x0, 1e-6, seed=4)
+    g0 = g(x0)
+    assert estimate_lipschitz(g, x0, g0, 1e-6, seed=3) == estimate_lipschitz(g, x0, g0, 1e-6, seed=3)
+    assert estimate_lipschitz(g, x0, g0, 1e-6, seed=3) != estimate_lipschitz(g, x0, g0, 1e-6, seed=4)
 
 
 def test_lipschitz_floor():
-    est = estimate_lipschitz(lambda v: np.zeros_like(v), np.zeros(5), 1e-6, seed=0)
+    est = estimate_lipschitz(lambda v: np.zeros_like(v), np.zeros(5), np.zeros(5), 1e-6, seed=0)
     assert est == 1e-12
 
 
@@ -107,28 +108,28 @@ def test_lipschitz_within_factor_of_gramian_spectrum():
     structure, tensor, planted = small_exact(2)
     problem = CpdProblem(tensor, FeasibleSet(structure), EvalCounters())
     x0 = perturbed(planted, 5).flat
-    est = estimate_lipschitz(
-        lambda v: problem.gradient(problem.point(v)), x0, 1e-6, seed=0
-    )
+    grad0 = problem.gradient(problem.point(x0))
+    est = estimate_lipschitz(lambda v: problem.gradient(problem.point(v)), x0, grad0, 1e-6, seed=0)
     jac = explicit_jacobian(problem.point(x0))
     top = float(np.linalg.norm(jac.T @ jac, 2))
     assert top / 100.0 <= est <= 100.0 * top
 
 
-def test_lipschitz_probe_given_the_start_gradient_evaluates_one_and_keeps_the_bits():
+def test_lipschitz_probe_computes_one_gradient_away_from_the_start():
+    # the start's gradient comes from the caller
     structure, tensor, planted = small_exact(2)
     problem = CpdProblem(tensor, FeasibleSet(structure), EvalCounters())
     x0 = perturbed(planted, 5).flat
+    grad0 = problem.gradient(problem.point(x0))
+    probed = []
 
     def gradient_at(v):
+        probed.append(v.copy())
         return problem.gradient(problem.point(v))
 
-    both = estimate_lipschitz(gradient_at, x0, 1e-6, seed=0)
-    grad0 = gradient_at(x0)
-    assert problem.counters.gevals == 3
-    one = estimate_lipschitz(gradient_at, x0, 1e-6, seed=0, grad0=grad0)
-    assert problem.counters.gevals == 4
-    assert np.float64(one).tobytes() == np.float64(both).tobytes()
+    estimate_lipschitz(gradient_at, x0, grad0, 1e-6, seed=0)
+    assert problem.counters.gevals == 2
+    assert len(probed) == 1 and not np.array_equal(probed[0], x0)
 
 
 @pytest.mark.parametrize("solve", [panoc_solve, pgd_solve])
