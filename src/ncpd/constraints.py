@@ -61,16 +61,14 @@ def project(fset: FeasibleSet, w) -> CpdPoint:
     A column whose squares overflow or underflow is normalized all the same
     (:func:`_unit_rows`).
 
-    ``w`` is a flat vector or a point of the set's structure.  The
-    projection is computed per run of equal-size modes
-    (:attr:`CpdStructure.mode_groups`) straight into one flat vector, which
-    :meth:`CpdPoint.from_flat` takes over without a copy; its factors are
-    the row-major copies on which the solver evaluates.
+    ``w`` is a flat vector of the set's structure.  The projection is
+    computed per run of equal-size modes (:attr:`CpdStructure.mode_groups`)
+    straight into one flat vector, which :meth:`CpdPoint.from_flat` takes
+    over without a copy; its factors are the row-major copies on which the
+    solver evaluates.
     """
     s = fset.structure
-    if isinstance(w, CpdPoint) and w.structure != s:
-        raise ValueError(f"point structure {w.structure} does not match set {s}")
-    w = w.flat if isinstance(w, CpdPoint) else np.asarray(w, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
     if w.shape != (s.size,):
         raise ValueError(f"expected flat length {s.size}, got {w.shape}")
     out = np.empty(s.size)

@@ -93,18 +93,18 @@ class CpdProblem:
     def point(self, x) -> CpdPoint:
         return CpdPoint.from_flat(self.structure, x)
 
-    def evaluate(self, point: CpdPoint, parts: bool = True,
-                 finite: bool = True) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
+    def evaluate(self, point: CpdPoint, parts: bool = True) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
         """The objective at ``point`` and the parts of its evaluation, or
         ``None`` for them with ``parts`` false (objective-only); one counted
-        evaluation.  With ``finite`` false the objective is left to the
-        caller's check."""
+        evaluation, which raises on a non-finite objective."""
         self.counters.fevals += 1
         if parts:
             value, parts = value_and_residual(point, self.tensor)
         else:
             value, parts = objective_value(point, self.tensor), None
-        return _finite_value(value) if finite else value, parts
+        if not math.isfinite(value):
+            raise FloatingPointError("objective evaluated to a non-finite value")
+        return value, parts
 
     def gradient(self, point: CpdPoint) -> np.ndarray:
         self.counters.gevals += 1
@@ -123,12 +123,6 @@ class CpdProblem:
             parts = value_and_residual(point, self.tensor)[1]
         self.counters.gevals += 1
         return value, _finite_gradient(gradient_from_residual(point, parts))
-
-
-def _finite_value(value: float) -> float:
-    if not math.isfinite(value):
-        raise FloatingPointError("objective evaluated to a non-finite value")
-    return value
 
 
 def _finite_gradient(g: np.ndarray) -> np.ndarray:
@@ -266,13 +260,12 @@ def jhat_operator(state: StepState) -> JhatOperator:
 class DirectionReport:
     """How a direction solve went: ``iterations`` counts the dense solves
     (0 for a zero right-hand side, else 1), ``rel_residual`` is the relative
-    residual of the damped system, ``breakdown`` marks a singular or
-    non-finite system and ``converged`` its absence."""
+    residual of the damped system, and ``converged`` is false for a
+    singular or non-finite system."""
 
     iterations: int
     rel_residual: float
     converged: bool
-    breakdown: bool
 
 
 def solve_direction(state: StepState) -> tuple[np.ndarray, DirectionReport]:
@@ -291,7 +284,7 @@ def solve_direction(state: StepState) -> tuple[np.ndarray, DirectionReport]:
     factor columns; ``||x||`` makes ``mu`` blind to the data's scale.
 
     May raise :class:`~ncpd.constraints.DegenerateBlockError`; a singular or
-    non-finite system is reported as a breakdown, not raised, so the caller
+    non-finite system is reported as not converged, not raised, so the caller
     can fall back to a plain projected-gradient step.
     """
     size = state.x.size
@@ -300,15 +293,14 @@ def solve_direction(state: StepState) -> tuple[np.ndarray, DirectionReport]:
         rhs = -(state.r @ jac)
         rhs_norm = math.sqrt(rhs @ rhs)
         if rhs_norm == 0.0:
-            return np.zeros(size), DirectionReport(0, 0.0, True, False)
+            return np.zeros(size), DirectionReport(0, 0.0, True)
         lhs = jac.T @ jac
         del jac  # hold at most two size-by-size arrays: lhs and LAPACK's copy
         lhs.reshape(-1)[:: size + 1] *= 1.0 + DAMPING * state.rnorm / math.sqrt(state.x @ state.x)
         try:
             d = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError:
-            return np.zeros(size), DirectionReport(1, np.inf, False, True)
+            return np.zeros(size), DirectionReport(1, np.inf, False)
         res = lhs @ d - rhs
         rel = math.sqrt(res @ res) / rhs_norm
-    breakdown = not (math.isfinite(rel) and np.isfinite(d).all())
-    return d, DirectionReport(1, rel, not breakdown, breakdown)
+    return d, DirectionReport(1, rel, math.isfinite(rel) and bool(np.isfinite(d).all()))

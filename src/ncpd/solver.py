@@ -37,7 +37,7 @@ import numpy as np
 
 from .calculus import EvalCounters, cauchy_scale
 from .constraints import DegenerateBlockError, FeasibleSet, project
-from .forward_backward import CpdProblem, StepState, _finite_value, fb_step, solve_direction
+from .forward_backward import CpdProblem, StepState, fb_step, solve_direction
 from .rng import STREAM_PROBE, substream
 from .tensors import CpdPoint, DenseTensor, _multi_index, as_integer, as_real, format_float
 
@@ -350,15 +350,12 @@ def _check_finite(tensor: DenseTensor, x0: CpdPoint) -> None:
 def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at) -> SolverResult:
     counters = problem.counters
     # One evaluation of the start gives the probe its gradient there and the
-    # first step state its objective and gradient.  The objective is checked
-    # after the probe, so that a start that overflows is named by the first
-    # of the gradients, the Lipschitz estimate and the objective to fail.
-    evaluation = problem.evaluate(start, finite=False)
-    grad = problem.value_and_gradient(start, evaluation)[1]
+    # first step state its objective and gradient.
+    fx, grad = problem.value_and_gradient(start)
     lip = estimate_lipschitz(
         lambda v: problem.gradient(problem.point(v)), start.flat, grad, LIPSCHITZ_FD_STEP, cfg.seed
     )
-    state = StepState(problem, start, cfg.alpha / lip, _finite_value(evaluation[0]), grad)
+    state = StepState(problem, start, cfg.alpha / lip, fx, grad)
     k = 0
     gh_pending = 0
     gh_total = 0
@@ -406,7 +403,7 @@ def _panoc_loop(problem, start: CpdPoint, cfg: SolverConfig, trace, error_at) ->
         if problem.gauss_newton:
             try:
                 d, report = solve_direction(state)
-                if not report.breakdown:
+                if report.converged:
                     direction = d
             except DegenerateBlockError:
                 pass

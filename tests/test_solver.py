@@ -376,18 +376,19 @@ def test_scaled_data_solves_like_unscaled_data():
 @pytest.mark.parametrize("solve", [panoc_solve, pgd_solve])
 @pytest.mark.parametrize("spec,scale,weight_scale,message", [
     (_COMPARE_SEED1, 1e155, 1.0, "objective evaluated to a non-finite value"),
-    (_COMPARE_SEED1, 1e160, 1.0, "non-finite Lipschitz estimate"),
+    (_COMPARE_SEED1, 1e160, 1.0, "objective evaluated to a non-finite value"),
     (_FOUR_SMALL_MODES, 1e160, 1.0, "objective evaluated to a non-finite value"),
-    (_FOUR_SMALL_MODES, 1e300, 1.0, "non-finite Lipschitz estimate"),
-    (_COMPARE_SEED1, 1.0, 1e200, "gradient evaluated to a non-finite value"),
+    (_FOUR_SMALL_MODES, 1e300, 1.0, "objective evaluated to a non-finite value"),
+    (_COMPARE_SEED1, 1.0, 1e200, "objective evaluated to a non-finite value"),
     (_FOUR_SMALL_MODES, 1.0, 1e150, "gradient evaluated to a non-finite value"),
 ])
 def test_a_start_that_overflows_raises_before_any_row_with_its_message(spec, scale, weight_scale, message, solve):
     # the start's one evaluation serves the probe and the first step; its
-    # objective is checked after the probe's gradients and estimate, so the
-    # error names the first of them to fail: where the data or the start's
-    # weights are scaled far enough, the gradients or the estimate overflow
-    # as well as the objective
+    # objective is checked first, then its gradient, so the error names the
+    # first of them to fail, before the probe's gradient and estimate: where
+    # the data or the start's weights are scaled far enough, the objective
+    # overflows, and with weights of 1e150 on four small modes the objective
+    # stays finite while the gradient overflows
     tensor = gen_inexact_instance(spec)
     scaled = DenseTensor(tensor.dims, tensor.values * scale)
     start = random_feasible_point(spec.structure, spec.seed)
@@ -565,7 +566,7 @@ def test_pgd_step_after_a_failed_trial_reuses_the_projected_evaluation(monkeypat
     # that step takes the evaluation that fz made at the projected point,
     # and adds one gradient and no objective
     def uphill(state):
-        return 100.0 * state.r, DirectionReport(1, 0.0, True, False)
+        return 100.0 * state.r, DirectionReport(1, 0.0, True)
 
     steps = []
 
