@@ -4,7 +4,10 @@
 Runs a fixed list of solves, each once, and prints lines that reduce
 them: hash groups, which agree when two checkouts solve alike byte for
 byte, and outcome panels, which show what the Gauss-Newton solves of a
-change that re-rounds them reach.
+change that re-rounds them reach.  The recipes come from
+:mod:`ncpd.experiments`: a quadratic-study solve is its ``quadratic_run``,
+an inexact solve starts from its ``compare_instance``, and the gradients
+to 1% are its ``gradients_to_1pct``, so the lines read the studies' runs.
 
 Per hash group it prints the SHA-256 of the concatenated trace CSVs, the
 same with one column left out (``--without``), the same with only the
@@ -23,8 +26,9 @@ Groups:
 * ``quadratic``: the 50-run quadratic study, base seed 1 (traces with the
   reference-error column).  Below its hash line come acceptance test A1's
   count of converged runs whose convergence slope reaches 1.5, the median
-  slope, and each converged run short of 1.5 with its last error next to
-  its slope floor of 100 eps ||x*||;
+  of every slope (of converged runs and others, as the study's
+  ``median_slope``), and each converged run short of 1.5 with its last
+  error next to its slope floor of 100 eps ||x*||;
 * ``compare-gn`` / ``compare-pgd``: compare-study seeds 1-3, Gauss-Newton
   and projected gradient;
 * ``large-gn`` / ``large-pgd``: the (30,30,30,30) rank-8 inexact instance
@@ -99,6 +103,15 @@ checked by one command::
     PYTHONPATH=<parent>/src python scripts/trace_hashes.py > parent.txt
     PYTHONPATH=src python scripts/trace_hashes.py --baseline parent.txt
 
+The studies' report files are checked byte for byte alongside, as
+``cmp`` of the outputs of ``ncpd experiment`` at the parent and here::
+
+    PYTHONPATH=<parent>/src python -m ncpd.cli experiment quadratic --runs 5 --out parent-quadratic
+    PYTHONPATH=src python -m ncpd.cli experiment quadratic --runs 5 --out quadratic
+    cmp parent-quadratic.csv quadratic.csv && cmp parent-quadratic.json quadratic.json
+
+and alike for ``experiment compare --runs 3``.
+
 A change meant to move one counter and keep every other bit, such as one
 that saves a gradient per solve, is checked with that column left out of
 both runs, since a baseline must be saved with the same options::
@@ -135,12 +148,10 @@ import numpy as np  # noqa: E402
 
 from ncpd.experiments import (  # noqa: E402
     InstanceSpec,
-    convergence_slope,
+    compare_instance,
     gen_exact_instance,
-    gen_inexact_instance,
-    gradient_count_to_threshold,
-    perturb_solution,
-    random_feasible_point,
+    gradients_to_1pct,
+    quadratic_run,
 )
 from ncpd.solver import SolverConfig, panoc_solve, pgd_solve  # noqa: E402
 from ncpd.tensors import objective_value  # noqa: E402
@@ -225,44 +236,41 @@ class Run(NamedTuple):
 def inexact(recipe: Recipe) -> tuple:
     """The tensor, start point and configuration of an inexact solve."""
     spec = recipe.spec
-    return (gen_inexact_instance(spec), random_feasible_point(spec.structure, spec.seed),
-            SolverConfig(seed=spec.seed, max_iters=recipe.max_iters))
+    return (*compare_instance(spec), SolverConfig(seed=spec.seed, max_iters=recipe.max_iters))
 
 
 def run(recipe: Recipe) -> Run:
     quadratic = ()
     if recipe.kind == "quadratic":
-        spec = recipe.spec
-        tensor, planted = gen_exact_instance(spec)
-        result = panoc_solve(tensor, perturb_solution(planted, spec.seed), SolverConfig(seed=spec.seed),
-                             reference=planted)
-        floor = 100.0 * np.finfo(np.float64).eps * planted.norm()
-        quadratic = (convergence_slope([rec.err for rec in result.trace], floor), floor, result.trace[-1].err)
+        result, floor, slope = quadratic_run(recipe.spec, SolverConfig())
+        quadratic = (slope, floor, result.trace[-1].err)
     else:
         result = (panoc_solve if recipe.kind == "gn" else pgd_solve)(*inexact(recipe))
     last = result.trace[-1]
     return Run(result.trace.to_csv_string(), result.point.flat.tobytes(), result.f, result.reason,
-               last.fevals, last.gevals, gradient_count_to_threshold(result.trace, 1.01 * result.f)[0],
+               last.fevals, last.gevals, gradients_to_1pct(result)[0],
                int(np.count_nonzero(result.point.weights == 0.0)), result.converged, *quadratic)
 
 
-def slope_lines(runs: list[Run]) -> list[str]:
-    """A1's figures for the quadratic group, as the study computes them."""
-    steep, slopes, short = 0, [], []
-    for recipe, r in zip(GROUPS["quadratic"], runs):
-        if not r.converged:
-            continue
-        if r.slope is not None:
-            slopes.append(r.slope)
-        if r.slope is not None and r.slope >= 1.5:
-            steep += 1
-        else:
-            shown = "none" if r.slope is None else format(r.slope, ".3f")
-            short.append(f"  seed {recipe.spec.seed}: slope {shown}  last error {r.last_error:.2e}  "
-                         f"floor {r.floor:.2e}")
-    n_converged = sum(r.converged for r in runs)
+def a1_figures(runs) -> tuple[list[bool], int, str]:
+    """Acceptance test A1's reduction of (converged, slope) pairs: whether
+    each run is steep (converged with a slope of at least 1.5), the count
+    of converged runs, and the median of every slope, converged or not,
+    to four decimals."""
+    steep = [converged and slope is not None and slope >= 1.5 for converged, slope in runs]
+    slopes = [slope for _, slope in runs if slope is not None]
     median = format(float(np.median(slopes)), ".4f") if slopes else "none"
-    return [f"quadratic  A1={steep}/{n_converged} converged runs with slope >= 1.5  median={median}"] + short
+    return steep, sum(converged for converged, _ in runs), median
+
+
+def slope_lines(runs: list[Run]) -> list[str]:
+    """A1's figures for the quadratic group, as the study computes them,
+    and each converged run short of steep."""
+    steep, n_converged, median = a1_figures([(r.converged, r.slope) for r in runs])
+    short = [f"  seed {recipe.spec.seed}: slope {'none' if r.slope is None else format(r.slope, '.3f')}  "
+             f"last error {r.last_error:.2e}  floor {r.floor:.2e}"
+             for recipe, r, is_steep in zip(GROUPS["quadratic"], runs, steep) if r.converged and not is_steep]
+    return [f"quadratic  A1={sum(steep)}/{n_converged} converged runs with slope >= 1.5  median={median}"] + short
 
 
 def exact_line() -> str:
@@ -363,13 +371,11 @@ def outcome(r: Run) -> dict[str, str]:
 
 def wide_a1_lines(runs) -> list[str]:
     """The ``wide-a1`` line of (converged, slope) pairs, by seed from 1."""
-    steep = [converged and slope is not None and slope >= 1.5 for converged, slope in runs]
-    n_converged = sum(converged for converged, _ in runs)
+    steep, n_converged, _ = a1_figures(runs)
     blocks = [sum(steep[i : i + BLOCK]) for i in range(0, len(steep), BLOCK)]
     share = sum(steep) / n_converged if n_converged else 0.0
     interval = 1.96 * math.sqrt(share * (1.0 - share) / n_converged) if n_converged else 0.0
-    slopes = [slope for _, slope in runs[:BLOCK] if slope is not None]
-    median = format(float(np.median(slopes)), ".4f") if slopes else "none"
+    median = a1_figures(runs[:BLOCK])[2]
     return ["  ".join(["wide-a1", f"steep={sum(steep)}/{n_converged}",
                        f"share={100 * share:.1f}%±{100 * interval:.1f}%",
                        "blocks=" + ",".join(map(str, blocks)), f"median-seeds-1-50={median}"])]

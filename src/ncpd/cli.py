@@ -27,7 +27,7 @@ from .experiments import (
     run_experiment_quadratic,
 )
 from .solver import NonFiniteError, SolverConfig, panoc_solve, pgd_solve
-from .tensors import CpdStructure, DenseTensor, ten_read, ten_write
+from .tensors import CpdStructure, DenseTensor, ten_read, ten_write, write_json
 
 __all__ = ["main", "build_config"]
 
@@ -116,9 +116,7 @@ def cmd_decompose(args) -> int:
         "dims": list(tensor.dims),
         "algorithm": "pgd" if args.pgd_only else "gauss-newton",
     }
-    with open(f"{out}.summary.json", "w", encoding="ascii") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(f"{out}.summary.json", summary)
     print(f"{summary['algorithm']}: f={result.f:.6e} after {result.iterations} iterations ({result.reason})")
     return 0 if result.reason == "tolerance" else 2
 

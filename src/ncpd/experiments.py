@@ -15,11 +15,8 @@ its solver probes, through the named streams in :mod:`ncpd.rng`.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -27,12 +24,13 @@ from .constraints import FeasibleSet, project
 from .rng import STREAM_INSTANCE, STREAM_PERTURB, STREAM_START, substream
 from .solver import (
     SolverConfig,
+    SolverResult,
     SolverTrace,
     matched_relative_error,
     panoc_solve,
     pgd_solve,
 )
-from .tensors import CpdPoint, CpdStructure, DenseTensor, as_integer, format_float, tensor_from_cpd
+from .tensors import CpdPoint, CpdStructure, DenseTensor, as_integer, format_csv, tensor_from_cpd, write_json
 
 __all__ = [
     "InstanceSpec",
@@ -42,6 +40,9 @@ __all__ = [
     "random_feasible_point",
     "convergence_slope",
     "gradient_count_to_threshold",
+    "quadratic_run",
+    "compare_instance",
+    "gradients_to_1pct",
     "QuadraticRun",
     "CompareRun",
     "ExperimentReport",
@@ -197,6 +198,33 @@ def gradient_count_to_threshold(trace: SolverTrace, f_target: float) -> tuple[in
     return last.gevals, False
 
 
+# --- the studies' runs ---------------------------------------------------------
+
+
+def quadratic_run(spec: InstanceSpec, cfg: SolverConfig) -> tuple[SolverResult, float, float | None]:
+    """The quadratic study's run of ``spec.seed``: :func:`panoc_solve`,
+    with ``cfg`` seeded by ``spec.seed``, of the exact instance of ``spec``
+    from its perturbed planted point, tracking the error to that point.
+    Returns the result, the slope floor 100 eps ||x*|| and the convergence
+    slope of the errors above it."""
+    tensor, planted = gen_exact_instance(spec)
+    result = panoc_solve(tensor, perturb_solution(planted, spec.seed), replace(cfg, seed=spec.seed), reference=planted)
+    floor = 100.0 * np.finfo(np.float64).eps * planted.norm()
+    return result, floor, convergence_slope([rec.err for rec in result.trace], floor)
+
+
+def compare_instance(spec: InstanceSpec) -> tuple[DenseTensor, CpdPoint]:
+    """The comparison study's inexact instance of ``spec`` and the start
+    point of its seed, which both algorithms solve from."""
+    return gen_inexact_instance(spec), random_feasible_point(spec.structure, spec.seed)
+
+
+def gradients_to_1pct(result: SolverResult) -> tuple[int, bool]:
+    """The comparison study's count: :func:`gradient_count_to_threshold`
+    at one percent above the solve's own final objective."""
+    return gradient_count_to_threshold(result.trace, 1.01 * result.f)
+
+
 # --- reports -------------------------------------------------------------------
 
 
@@ -239,35 +267,16 @@ class ExperimentReport:
         self.traces = traces
 
     def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
         if not self.records:
-            return buf.getvalue()
-        cols = [f.name for f in fields(self.records[0])]
-        writer.writerow(cols)
-        for rec in self.records:
-            row = []
-            for c in cols:
-                v = getattr(rec, c)
-                if v is None:
-                    row.append("")
-                elif isinstance(v, bool):
-                    row.append(int(v))
-                elif isinstance(v, float):
-                    row.append(format_float(v))
-                else:
-                    row.append(v)
-            writer.writerow(row)
-        return buf.getvalue()
+            return ""
+        return format_csv([f.name for f in fields(self.records[0])], map(astuple, self.records))
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(self.to_csv_string())
 
     def write_json(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(self.aggregate, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.aggregate)
 
 
 def _quartiles(values) -> tuple[float | None, float | None, float | None]:
@@ -277,9 +286,12 @@ def _quartiles(values) -> tuple[float | None, float | None, float | None]:
     return float(q1), float(q2), float(q3)
 
 
-def _check_runs(runs: int) -> None:
+def _study_settings(runs: int, cfg, instance) -> tuple[SolverConfig, InstanceSpec]:
+    """``cfg`` and ``instance``, each defaulted when ``None``, once ``runs``
+    is checked."""
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
+    return SolverConfig() if cfg is None else cfg, InstanceSpec() if instance is None else instance
 
 
 def run_experiment_quadratic(
@@ -290,20 +302,12 @@ def run_experiment_quadratic(
     keep_traces: bool = False,
 ) -> ExperimentReport:
     """Exact-instance study: local convergence slopes near planted solutions."""
-    _check_runs(runs)
-    if cfg is None:
-        cfg = SolverConfig()
-    if instance is None:
-        instance = InstanceSpec()
+    cfg, instance = _study_settings(runs, cfg, instance)
     records = []
     traces = []
     for i in range(runs):
         seed = base_seed + i
-        tensor, planted = gen_exact_instance(replace(instance, seed=seed))
-        start = perturb_solution(planted, seed)
-        result = panoc_solve(tensor, start, replace(cfg, seed=seed), reference=planted)
-        floor = 100.0 * np.finfo(np.float64).eps * planted.norm()
-        slope = convergence_slope([rec.err for rec in result.trace], floor)
+        result, _, slope = quadratic_run(replace(instance, seed=seed), cfg)
         records.append(
             QuadraticRun(
                 run=i,
@@ -354,22 +358,17 @@ def run_experiment_compare(
     flagged as having reached different local optima and excluded from the
     win rate.
     """
-    _check_runs(runs)
-    if cfg is None:
-        cfg = SolverConfig()
-    if instance is None:
-        instance = InstanceSpec()
+    cfg, instance = _study_settings(runs, cfg, instance)
     records = []
     traces = []
     for i in range(runs):
         seed = base_seed + i
-        tensor = gen_inexact_instance(replace(instance, seed=seed))
-        start = random_feasible_point(instance.structure, seed)
+        tensor, start = compare_instance(replace(instance, seed=seed))
         run_cfg = replace(cfg, seed=seed)
         res_gn = panoc_solve(tensor, start, run_cfg)
         res_pg = pgd_solve(tensor, start, run_cfg)
-        count_gn, reached_gn = gradient_count_to_threshold(res_gn.trace, 1.01 * res_gn.f)
-        count_pg, reached_pg = gradient_count_to_threshold(res_pg.trace, 1.01 * res_pg.f)
+        count_gn, reached_gn = gradients_to_1pct(res_gn)
+        count_pg, reached_pg = gradients_to_1pct(res_pg)
         denom = max(res_gn.f, res_pg.f)
         flagged = denom > 0.0 and abs(res_gn.f - res_pg.f) > 0.05 * denom
         records.append(

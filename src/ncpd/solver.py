@@ -28,8 +28,6 @@ and trace format exactly: the two differ only in step 3.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -39,7 +37,7 @@ from .calculus import EvalCounters, cauchy_scale
 from .constraints import DegenerateBlockError, FeasibleSet, project
 from .forward_backward import CpdProblem, StepState, fb_step, solve_direction
 from .rng import STREAM_PROBE, substream
-from .tensors import CpdPoint, DenseTensor, _multi_index, as_integer, as_real, format_float
+from .tensors import CpdPoint, DenseTensor, _multi_index, as_integer, as_real, format_csv
 
 __all__ = [
     "SolverConfig",
@@ -157,29 +155,10 @@ class SolverTrace:
         return self.records[idx]
 
     def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        header = TRACE_COLUMNS + (("err",) if self.has_reference else ())
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for rec in self.records:
-            row = [
-                rec.k,
-                format_float(rec.fz),
-                format_float(rec.fbe),
-                format_float(rec.rnorm),
-                format_float(rec.gamma),
-                format_float(rec.tau),
-                rec.gamma_halvings,
-                rec.tau_halvings,
-                rec.kind,
-                rec.fevals,
-                rec.gevals,
-                rec.gramian_applies,
-            ]
-            if self.has_reference:
-                row.append("" if rec.err is None else format_float(rec.err))
-            writer.writerow(row)
-        return buf.getvalue()
+        columns = TRACE_COLUMNS + (("err",) if self.has_reference else ())
+        rows = ((rec.k, rec.fz, rec.fbe, rec.rnorm, rec.gamma, rec.tau, rec.gamma_halvings, rec.tau_halvings,
+                 rec.kind, rec.fevals, rec.gevals, rec.gramian_applies, rec.err) for rec in self.records)
+        return format_csv(columns, (row[: len(columns)] for row in rows))
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:

@@ -17,9 +17,11 @@ Jacobians agree entry for entry without ad-hoc transpositions.
 
 from __future__ import annotations
 
+import csv
 import functools
 import io
 import itertools
+import json
 import math
 import numbers
 import os
@@ -40,6 +42,8 @@ __all__ = [
     "objective_value",
     "mttkrps",
     "format_float",
+    "format_csv",
+    "write_json",
     "ten_read",
     "ten_write",
 ]
@@ -478,6 +482,32 @@ _CHUNK_BYTES = 1 << 16
 def format_float(v: float) -> str:
     """A float as text with 17 significant digits, which round-trips."""
     return format(float(v), ".17g")
+
+
+def _csv_field(v):
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return int(v)
+    return format_float(v) if isinstance(v, float) else v
+
+
+def format_csv(header, rows) -> str:
+    """CSV text of ``header`` and ``rows``, one line each: ``None`` is an
+    empty field, a bool 0 or 1 and a float :func:`format_float`'s."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_field(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def write_json(path, data) -> None:
+    """``data`` as ASCII JSON with sorted keys, a two-space indent and a
+    final newline."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def ten_write(path, tensor: DenseTensor) -> None:

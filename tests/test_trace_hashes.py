@@ -3,11 +3,22 @@ reading of a saved output."""
 
 import importlib.util
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+import ncpd.experiments as experiments
+from ncpd.experiments import (
+    InstanceSpec,
+    gen_exact_instance,
+    gen_inexact_instance,
+    gradient_count_to_threshold,
+    random_feasible_point,
+    run_experiment_compare,
+    run_experiment_quadratic,
+)
+from ncpd.solver import SolverConfig, panoc_solve
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "trace_hashes.py"
 
@@ -154,6 +165,23 @@ def test_wide_a1_counts_steep_converged_runs_per_block(trace_hashes):
     assert fields["median-seeds-1-50"] == "2.0000"  # 42 slopes of 2.0 and 5 of 1.2
 
 
+def a1_run(trace_hashes, converged, slope):
+    stop = "tolerance" if converged else "max-iters"
+    return trace_hashes.Run("", b"", 0.0, stop, 1, 1, 1, 0, converged, slope, 1e-13, 1e-12)
+
+
+def test_the_a1_line_takes_the_median_of_every_slope_as_the_study_does(trace_hashes):
+    # seed 2 stops short with a slope: A1 and the study's median_slope
+    # take it, and it is not listed as a converged run short of 1.5
+    runs = [a1_run(trace_hashes, *pair) for pair in [(True, 2.0), (False, 1.0), (True, None)]]
+    assert trace_hashes.slope_lines(runs) == [
+        "quadratic  A1=1/2 converged runs with slope >= 1.5  median=1.5000",
+        "  seed 3: slope none  last error 1.00e-12  floor 1.00e-13",
+    ]
+    assert trace_hashes.fields(trace_hashes.wide_a1_lines([(r.converged, r.slope) for r in runs])[0]) == {
+        "steep": "1/2", "share": "50.0%±69.3%", "blocks": "1", "median-seeds-1-50": "1.5000"}
+
+
 def test_wide_a1_verdict_gives_both_sides(trace_hashes):
     before = trace_hashes.wide_a1_lines([(True, 2.0)] * 50 + [(True, 1.0)] * 50)
     after = trace_hashes.wide_a1_lines([(True, 2.0)] * 49 + [(True, 1.0)] * 51)
@@ -199,17 +227,14 @@ def test_a_panel_without_its_baseline_gets_no_comparison(trace_hashes):
 
 
 def test_inexact_run_reports_the_solve_to_its_stop(trace_hashes):
-    spec = replace(trace_hashes.InstanceSpec(dims=(5, 4, 3), rank=2, zeros_per_factor=2,
-                                             negative_entries_per_factor=2), seed=3)
+    spec = InstanceSpec(dims=(5, 4, 3), rank=2, seed=3, zeros_per_factor=2, negative_entries_per_factor=2)
     got = trace_hashes.run(trace_hashes.Recipe(spec))
-    result = trace_hashes.panoc_solve(trace_hashes.gen_inexact_instance(spec),
-                                      trace_hashes.random_feasible_point(spec.structure, 3),
-                                      trace_hashes.SolverConfig(seed=3))
+    result = panoc_solve(gen_inexact_instance(spec), random_feasible_point(spec.structure, 3), SolverConfig(seed=3))
     assert trace_hashes.outcome(got) == {
         "f": format(result.f, ".17g"),
         "stop": result.reason,
         "gradients": str(result.trace[-1].gevals),
-        "to-1pct": str(trace_hashes.gradient_count_to_threshold(result.trace, 1.01 * result.f)[0]),
+        "to-1pct": str(gradient_count_to_threshold(result.trace, 1.01 * result.f)[0]),
         "zero-weights": str(int(np.sum(result.point.weights == 0.0))),
     }
     assert (got.trace, got.point) == (result.trace.to_csv_string(), result.point.flat.tobytes())
@@ -261,7 +286,7 @@ def assert_runs_group(trace_hashes, monkeypatch, group, solver, max_iters):
 
     def record(tensor, start, cfg):
         solved.append((tensor.dims, start.structure.rank, cfg.seed, cfg.max_iters))
-        assert trace_hashes.random_feasible_point(start.structure, cfg.seed).flat.tobytes() == start.flat.tobytes()
+        assert random_feasible_point(start.structure, cfg.seed).flat.tobytes() == start.flat.tobytes()
         raise Solved
 
     monkeypatch.setattr(trace_hashes, solver, record)
@@ -276,8 +301,32 @@ def assert_runs_group(trace_hashes, monkeypatch, group, solver, max_iters):
 
 def test_runs_group_solves_shapes_with_several_runs_of_mode_sizes(trace_hashes, monkeypatch):
     # Gauss-Newton, to its stop
-    assert_runs_group(trace_hashes, monkeypatch, "runs-gn", "panoc_solve", trace_hashes.SolverConfig().max_iters)
+    assert_runs_group(trace_hashes, monkeypatch, "runs-gn", "panoc_solve", SolverConfig().max_iters)
 
 
 def test_runs_pgd_group_solves_the_same_shapes_for_500_iterations(trace_hashes, monkeypatch):
     assert_runs_group(trace_hashes, monkeypatch, "runs-pgd", "pgd_solve", 500)
+
+
+def test_a_quadratic_recipe_is_the_quadratic_study_run(trace_hashes, monkeypatch):
+    # Both sides must take the start from ncpd.experiments at call time: a
+    # start drawn another way reaches the one and not a copy of the recipe.
+    real = experiments.perturb_solution
+    monkeypatch.setattr(experiments, "perturb_solution", lambda planted, seed: real(planted, seed, sigma=0.05))
+    report = run_experiment_quadratic(runs=3, base_seed=1, keep_traces=True)
+    for recipe, record, trace in zip(trace_hashes.GROUPS["quadratic"], report.records, report.traces):
+        got = trace_hashes.run(recipe)
+        assert got.trace == trace.to_csv_string()
+        assert got.converged == record.converged
+        assert (got.f.hex(), got.slope.hex()) == (record.final_f.hex(), record.slope.hex())
+        planted = gen_exact_instance(recipe.spec)[1]
+        assert got.floor == 100.0 * np.finfo(np.float64).eps * planted.norm()
+
+
+def test_a_compare_recipe_counts_the_gradients_to_1pct_as_the_study(trace_hashes, monkeypatch):
+    # as above, with another start point of the seed
+    real = experiments.random_feasible_point
+    monkeypatch.setattr(experiments, "random_feasible_point", lambda structure, seed: real(structure, seed + 100))
+    record, = run_experiment_compare(runs=1, base_seed=2).records
+    got = trace_hashes.run(trace_hashes.GROUPS["compare-gn"][1])
+    assert (got.to_1pct, got.f.hex()) == (record.panoc_gradients, record.panoc_final_f.hex())
